@@ -13,9 +13,9 @@ from .codebook import (Codebook, FormatError, InvariantError, MAX_STATIONS,
                        SizeLimitError, bits_to_str, build_codebook,
                        codeword_for, parse_codebook, serialize_codebook,
                        str_to_bits)
-from .decoder import (CollisionError, DecodeOutcome, IDENTIFIED, InverseTable,
-                      NOMATCH, SILENCE, TABLE_LIMIT, build_inverse_table,
-                      contains_station, decode_exact, decode_nearest)
+from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_STATIONS,
+                      NOMATCH, SILENCE, contains_station, decode_exact,
+                      decode_nearest)
 from .protocol import (RoundResult, SessionConfig, SessionStats, run_round,
                        run_session, session_json)
 from .verifier import (AdditivityReport, UNIQUENESS_BUDGET_ROWS,
@@ -35,9 +35,9 @@ __all__ = [
     "Codebook", "MAX_STATIONS", "build_codebook", "codeword_for",
     "serialize_codebook", "parse_codebook", "bits_to_str", "str_to_bits",
     "SizeLimitError", "FormatError", "InvariantError",
-    "DecodeOutcome", "InverseTable", "CollisionError", "TABLE_LIMIT",
-    "IDENTIFIED", "SILENCE", "NOMATCH", "build_inverse_table",
-    "decode_exact", "decode_nearest", "contains_station",
+    "DecodeOutcome", "IDENTIFIED", "SILENCE", "NOMATCH",
+    "NEAREST_BUDGET_STATIONS", "decode_exact", "decode_nearest",
+    "contains_station",
     "UniquenessReport", "WitnessReport", "WitnessSweepReport",
     "AdditivityReport", "WitnessNotFoundError", "UNIQUENESS_BUDGET_ROWS",
     "WITNESS_SWEEP_BUDGET_ROWS", "chip_sum", "amplitude_counts",

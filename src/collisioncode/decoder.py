@@ -1,11 +1,27 @@
 """Inverting a demodulated superposition back to the transmitting stations.
 
-Every non-empty station subset demodulates to a distinct bitstream and no
-subset demodulates to all-zero, so the all-zero vector unambiguously means
-silence and everything else either has exactly one preimage or none. For
-moderate station counts the full inverse map is materialized once per
-codebook; beyond the table limit decoding falls back to an exhaustive
-subset scan, which stays exact but is slower.
+The all-zero vector is silence: no non-empty subset demodulates to it.
+Any other vector is decoded by correlation. The columns of the codebook
+are every weight-R pattern over its rows, so the code is symmetric under
+row permutations. For y = demod(S) with |S| = k, the count row_i . y
+(columns where row i and y are both 1) is therefore the same number A_k
+for every member i of S, and the same number B_k for every non-member:
+
+    A_k = sum over 2(j+1) > k of C(k-1, j) * C(rows-k, R-1-j)
+    B_k = sum over 2j > k     of C(k, j)   * C(rows-k-1, R-1-j)
+
+(j counts the other members holding a 1 in a column where row i does).
+A_k > B_k for every supported size and every 1 <= k < n (the tests check
+this in exact integers up to MAX_STATIONS), and for k = n there are no
+non-members, so the stations of maximal correlation are
+exactly S. The decoder takes that candidate set and re-encodes it through
+the channel's majority rule: a match identifies the unique preimage, and
+a vector with no preimage can never re-encode to itself, so a mismatch
+is a no-match. The cost is one pass over the packed station rows plus one
+superposition, O(n * V), with no per-codebook state.
+
+Nearest-match decoding still scans all 2^n subsets and is refused above
+NEAREST_BUDGET_STATIONS stations.
 """
 
 from dataclasses import dataclass
@@ -13,21 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._subsets import POPCOUNT8, demod_blocks, mask_to_ids
+from .channel import demodulate, superpose
 from .codebook import Codebook, SizeLimitError
 
-TABLE_LIMIT = 20
+NEAREST_BUDGET_STATIONS = 17
 
 IDENTIFIED = "identified"
 SILENCE = "silence"
 NOMATCH = "nomatch"
-
-
-class CollisionError(RuntimeError):
-    """Two subsets produced the same demodulated vector.
-
-    This contradicts the uniqueness guarantee of the code construction and
-    therefore indicates an implementation bug, never a valid input.
-    """
 
 
 @dataclass(frozen=True)
@@ -43,38 +52,6 @@ class DecodeOutcome:
     distance: int | None = None
 
 
-@dataclass
-class InverseTable:
-    """Demodulated vector -> station subset, for every non-empty subset."""
-    n_stations: int
-    v_length: int
-    entries: dict[bytes, frozenset[int]]
-
-    def lookup(self, bits: np.ndarray) -> frozenset[int] | None:
-        return self.entries.get(np.packbits(np.asarray(bits, np.uint8)).tobytes())
-
-
-def build_inverse_table(cb: Codebook, limit: int = TABLE_LIMIT) -> InverseTable:
-    """Materialize the inverse map over all 2^n - 1 non-empty subsets."""
-    if cb.n_stations > limit:
-        raise SizeLimitError(
-            f"n_stations={cb.n_stations} exceeds the inverse-table limit "
-            f"of {limit}")
-    entries: dict[bytes, frozenset[int]] = {}
-    for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
-        for mask, row in zip(masks.tolist(), packed):
-            if not mask:
-                continue
-            key = row.tobytes()
-            prev = entries.get(key)
-            if prev is not None:
-                raise CollisionError(
-                    f"subsets {sorted(prev)} and {mask_to_ids(mask)} share a "
-                    f"demodulated vector; the codebook or decoder is broken")
-            entries[key] = frozenset(mask_to_ids(mask))
-    return InverseTable(cb.n_stations, cb.v_length, entries)
-
-
 def _check_bits(cb: Codebook, received) -> np.ndarray:
     arr = np.asarray(received)
     if arr.ndim != 1 or arr.size != cb.v_length:
@@ -85,48 +62,21 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _cached_table(cb: Codebook) -> InverseTable | None:
-    if cb.n_stations > TABLE_LIMIT:
-        return None
-    table = getattr(cb, "_inverse_table", None)
-    if table is None:
-        table = build_inverse_table(cb)
-        cb._inverse_table = table
-    return table
-
-
-def _scan_for_key(cb: Codebook, key: bytes) -> int:
-    """Exhaustive fallback: mask of the subset demodulating to key, or 0."""
-    target = np.frombuffer(key, np.uint8)
-    for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
-        hits = np.flatnonzero((packed == target).all(axis=1))
-        for h in hits:
-            if masks[h]:
-                return int(masks[h])
-    return 0
-
-
-def decode_exact(cb: Codebook, received, table: InverseTable | None = None) -> DecodeOutcome:
+def decode_exact(cb: Codebook, received) -> DecodeOutcome:
     """Unique preimage of a received bitstream, silence, or no match."""
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
-    key = np.packbits(bits).tobytes()
-    if table is None:
-        table = _cached_table(cb)
-    if table is not None:
-        hit = table.entries.get(key)
-        if hit is None:
-            return DecodeOutcome(NOMATCH)
-        return DecodeOutcome(IDENTIFIED, hit, 0)
-    mask = _scan_for_key(cb, key)
-    if not mask:
+    # the padding row of an even-n codebook belongs to no station
+    corr = POPCOUNT8[cb.packed[:cb.n_stations] & np.packbits(bits)].sum(
+        axis=1, dtype=np.int64)
+    stations = frozenset((np.flatnonzero(corr == corr.max()) + 1).tolist())
+    if not np.array_equal(demodulate(superpose(cb, stations)), bits):
         return DecodeOutcome(NOMATCH)
-    return DecodeOutcome(IDENTIFIED, frozenset(mask_to_ids(mask)), 0)
+    return DecodeOutcome(IDENTIFIED, stations, 0)
 
 
-def decode_nearest(cb: Codebook, received, max_dist: int,
-                   table: InverseTable | None = None) -> DecodeOutcome:
+def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     """Nearest reachable vector by Hamming distance, if unique and close.
 
     Returns the unique subset at minimum distance when that minimum is at
@@ -134,10 +84,15 @@ def decode_nearest(cb: Codebook, received, max_dist: int,
     a no-match (a detected failure beats a guessed ACK set). An all-zero
     input is silence regardless of max_dist. Near-zero nonzero inputs are
     matched against subset vectors only, since silence is defined by the
-    exact all-zero vector.
+    exact all-zero vector. The search enumerates every subset, so codebooks
+    above NEAREST_BUDGET_STATIONS stations raise SizeLimitError.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
+    if cb.n_stations > NEAREST_BUDGET_STATIONS:
+        raise SizeLimitError(
+            f"n_stations={cb.n_stations} exceeds the nearest-decode budget "
+            f"of {NEAREST_BUDGET_STATIONS}")
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
@@ -162,8 +117,7 @@ def decode_nearest(cb: Codebook, received, max_dist: int,
     return DecodeOutcome(IDENTIFIED, frozenset(mask_to_ids(best_mask)), best)
 
 
-def contains_station(cb: Codebook, received, station: int,
-                     table: InverseTable | None = None) -> str:
+def contains_station(cb: Codebook, received, station: int) -> str:
     """Membership of one station in a received vector's preimage.
 
     Returns "present", "absent" (including silence), or "undecodable" when
@@ -171,7 +125,7 @@ def contains_station(cb: Codebook, received, station: int,
     if not 1 <= station <= cb.n_stations:
         raise ValueError(
             f"station {station} out of range 1..{cb.n_stations}")
-    outcome = decode_exact(cb, received, table)
+    outcome = decode_exact(cb, received)
     if outcome.kind == IDENTIFIED:
         return "present" if station in outcome.stations else "absent"
     if outcome.kind == SILENCE:

@@ -137,6 +137,17 @@ class TestDecode:
         assert json.loads(out) == {"kind": "identified", "stations": [1, 2],
                                    "distance": 1}
 
+    def test_nearest_over_budget_is_usage_error(self, capsys, tmp_path):
+        cb = cached_codebook(18)
+        path = tmp_path / "cb.txt"
+        path.write_text(cc.serialize_codebook(cb))
+        vec = tmp_path / "vec.txt"
+        vec.write_text(cc.bits_to_str(cc.demodulate(cc.superpose(cb, {1}))))
+        code, out, err = run(capsys, ["decode", "--codebook", str(path),
+                                      "--vector-file", str(vec), "--nearest"])
+        assert code == 2 and out == ""
+        assert "nearest-decode budget" in err
+
     def test_vector_and_file_are_exclusive(self, capsys, cb3_path, tmp_path):
         vec = tmp_path / "vec.txt"
         vec.write_text("110\n")
@@ -227,6 +238,15 @@ class TestSimulate:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["n"] == 7 and payload["completed"]
+
+    @pytest.mark.parametrize("n", [19, 21])
+    def test_large_n_rounds_decode_exactly(self, capsys, n):
+        code, out, _ = run(capsys, ["simulate", "--n", str(n), "--loss", "0.3",
+                                    "--rounds", "1", "--seed", "1"])
+        assert code == 0
+        [r] = json.loads(out)["per_round"]
+        assert r["decoded"] in ("identified", "silence")
+        assert r["confirmed"] == r["received"]
 
     def test_sigma_flag(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--n", "3", "--loss", "0.1",

@@ -1,11 +1,13 @@
 """Exact and nearest-match inversion of received bitstreams."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode import decoder
 from conftest import cached_codebook, load_golden
 import oracles
 
@@ -14,6 +16,11 @@ DECODE_MAP_N3 = {
     (1, 2): "100", (1, 3): "010", (2, 3): "001",
     (1, 2, 3): "111",
 }
+
+
+def n_rows(n_stations: int) -> int:
+    """Matrix rows for n stations: odd n as is, even n plus a padding row."""
+    return n_stations + (n_stations % 2 == 0)
 
 
 def smallest_unreachable(n_stations: int) -> str:
@@ -25,33 +32,6 @@ def smallest_unreachable(n_stations: int) -> str:
         if candidate not in reachable:
             return candidate
     raise AssertionError("every vector reachable")
-
-
-class TestInverseTable:
-    def test_three_stations_matches_known_table(self):
-        table = cc.build_inverse_table(cached_codebook(3))
-        assert len(table.entries) == 7
-        for subset, vector in DECODE_MAP_N3.items():
-            assert table.lookup(cc.str_to_bits(vector)) == frozenset(subset)
-
-    def test_single_station(self):
-        table = cc.build_inverse_table(cached_codebook(1))
-        assert table.entries == {b"\x80": frozenset({1})}
-
-    def test_five_stations_all_distinct(self):
-        table = cc.build_inverse_table(cached_codebook(5))
-        assert len(table.entries) == 31
-        assert set(table.entries.values()) == {
-            frozenset(s) for s in oracles.nonempty_subsets(5)}
-
-    def test_limit(self):
-        with pytest.raises(cc.SizeLimitError):
-            cc.build_inverse_table(cached_codebook(5), limit=4)
-
-    def test_matches_oracle_vectors(self):
-        table = cc.build_inverse_table(cached_codebook(4))
-        for subset, vector in oracles.reachable_map(4, n_rows=5).items():
-            assert table.lookup(cc.str_to_bits(vector)) == frozenset(subset)
 
 
 class TestDecodeExact:
@@ -97,23 +77,125 @@ class TestDecodeExact:
         outcome = cc.decode_exact(cb, received)
         assert outcome == cc.DecodeOutcome(cc.IDENTIFIED, subset, 0)
 
-    def test_scan_fallback_agrees_with_table(self):
-        cb = cc.build_codebook(6)  # fresh instance: no cached table
-        table = cc.build_inverse_table(cb)
-        for key, subset in table.entries.items():
-            mask = decoder._scan_for_key(cb, key)
-            assert frozenset(i + 1 for i in range(6) if mask >> i & 1) == subset
-        missing = np.packbits(cc.str_to_bits(smallest_unreachable(5))).tobytes()
-        assert decoder._scan_for_key(cached_codebook(5), missing) == 0
+    def test_single_station(self):
+        cb = cached_codebook(1)
+        assert cc.decode_exact(cb, np.array([1])) == cc.DecodeOutcome(
+            cc.IDENTIFIED, frozenset({1}), 0)
+        assert cc.decode_exact(cb, np.array([0])).kind == cc.SILENCE
 
-    def test_decode_beyond_table_limit_uses_scan(self, monkeypatch):
-        monkeypatch.setattr(decoder, "TABLE_LIMIT", 3)
-        cb = cached_codebook(5)
-        received = cc.demodulate(cc.superpose(cb, {2, 5}))
-        outcome = cc.decode_exact(cb, received)
-        assert outcome == cc.DecodeOutcome(cc.IDENTIFIED, frozenset({2, 5}), 0)
-        unreachable = cc.str_to_bits(smallest_unreachable(5))
-        assert cc.decode_exact(cb, unreachable).kind == cc.NOMATCH
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_every_subset_round_trips(self, n):
+        cb = cached_codebook(n)
+        if n <= 9:
+            vectors = {s: cc.str_to_bits(v) for s, v in
+                       oracles.reachable_map(n, n_rows(n)).items()}
+        else:  # the pure-Python oracle takes seconds from n=10 on
+            vectors = {s: cc.demodulate(cc.superpose(cb, s))
+                       for s in oracles.nonempty_subsets(n)}
+        for subset, vector in vectors.items():
+            assert cc.decode_exact(cb, vector) == cc.DecodeOutcome(
+                cc.IDENTIFIED, frozenset(subset), 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_identified_iff_oracle_reachable(self, n):
+        preimage = {v: frozenset(s) for s, v in
+                    oracles.reachable_map(n, n_rows(n)).items()}
+        cb = cached_codebook(n)
+        v = cb.v_length
+        if 2 ** v <= 1024:
+            vectors = [format(x, f"0{v}b") for x in range(1, 2 ** v)]
+        else:
+            # half uniform, half within two flips of a reachable vector, so
+            # both outcomes are well represented
+            rng = random.Random(1000 + n)
+            reachable = sorted(preimage)
+            vectors = []
+            while len(vectors) < 400:
+                if rng.random() < 0.5:
+                    chips = list(format(rng.randrange(1, 2 ** v), f"0{v}b"))
+                else:
+                    chips = list(rng.choice(reachable))
+                    for c in rng.sample(range(v), rng.randint(0, 2)):
+                        chips[c] = "1" if chips[c] == "0" else "0"
+                if "1" in chips:
+                    vectors.append("".join(chips))
+        kinds = set()
+        for vector in vectors:
+            outcome = cc.decode_exact(cb, cc.str_to_bits(vector))
+            kinds.add(outcome.kind)
+            if vector in preimage:
+                assert outcome == cc.DecodeOutcome(
+                    cc.IDENTIFIED, preimage[vector], 0)
+            else:
+                assert outcome == cc.DecodeOutcome(cc.NOMATCH)
+        assert cc.IDENTIFIED in kinds
+        assert (cc.NOMATCH in kinds) == (len(preimage) < 2 ** v - 1)
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_round_trips_at_large_n(self, n):
+        # n=20 has a padding row that must never be reported as a station
+        cb = cached_codebook(n)
+        rng = random.Random(n)
+        everyone = set(range(1, n + 1))
+        subsets = [{1}, {n}, everyone, everyone - {n}]
+        subsets += [set(rng.sample(sorted(everyone), rng.randint(1, n)))
+                    for _ in range(8)]
+        for subset in subsets:
+            received = cc.demodulate(cc.superpose(cb, subset))
+            assert cc.decode_exact(cb, received) == cc.DecodeOutcome(
+                cc.IDENTIFIED, frozenset(subset), 0)
+        # every reachable vector has weight above 1, so a unit vector has
+        # no preimage
+        assert min(demod_weight(n, k) for k in range(1, n + 1)) > 1
+        unit = np.zeros(cb.v_length, np.uint8)
+        unit[rng.randrange(cb.v_length)] = 1
+        assert cc.decode_exact(cb, unit) == cc.DecodeOutcome(cc.NOMATCH)
+
+
+def _comb(n: int, r: int) -> int:
+    return math.comb(n, r) if 0 <= r <= n else 0
+
+
+def correlation_levels(n: int, k: int) -> tuple[int, int]:
+    """(A_k, B_k): row . demod(S) for a member and a non-member of S, |S|=k.
+
+    j counts the other members holding a 1 in a column where the row does;
+    the column's remaining ones fall on non-members."""
+    rows, r = n_rows(n), (n_rows(n) + 1) // 2
+    a = sum(_comb(k - 1, j) * _comb(rows - k, r - 1 - j)
+            for j in range(k) if 2 * (j + 1) > k)
+    b = sum(_comb(k, j) * _comb(rows - k - 1, r - 1 - j)
+            for j in range(k + 1) if 2 * j > k)
+    return a, b
+
+
+def demod_weight(n: int, k: int) -> int:
+    """Number of ones in demod(S) for any |S| = k."""
+    rows, r = n_rows(n), (n_rows(n) + 1) // 2
+    return sum(_comb(k, j) * _comb(rows - k, r - j)
+               for j in range(k + 1) if 2 * j > k)
+
+
+class TestCorrelationPremise:
+    """Members of S correlate strictly higher with demod(S) than non-members,
+    which is what makes the decoder's argmax set equal S."""
+
+    @pytest.mark.parametrize("n", range(1, cc.MAX_STATIONS + 1))
+    def test_members_outscore_non_members(self, n):
+        for k in range(1, n):
+            a, b = correlation_levels(n, k)
+            assert a > b, (n, k, a, b)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_forms_match_oracle(self, n):
+        rows = oracles.matrix_rows(n_rows(n))
+        for subset in oracles.nonempty_subsets(n):
+            y = oracles.demod(rows, subset)
+            a, b = correlation_levels(n, len(subset))
+            assert y.count("1") == demod_weight(n, len(subset))
+            for station in range(1, n + 1):
+                corr = sum(c == d == "1" for c, d in zip(rows[station - 1], y))
+                assert corr == (a if station in subset else b), (subset, station)
 
 
 class TestDecodeNearest:
@@ -196,6 +278,20 @@ class TestDecodeNearest:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             cc.decode_nearest(cached_codebook(3), cc.str_to_bits("110"), -1)
+
+    def test_refused_above_station_budget(self):
+        assert cc.NEAREST_BUDGET_STATIONS == 17
+        cb = cached_codebook(18)
+        received = cc.demodulate(cc.superpose(cb, {1, 2}))
+        with pytest.raises(cc.SizeLimitError, match="nearest-decode budget"):
+            cc.decode_nearest(cb, received, 0)
+
+    def test_inside_station_budget(self):
+        cb = cached_codebook(13)
+        received = cc.demodulate(cc.superpose(cb, {2, 7, 13})).copy()
+        received[0] ^= 1
+        outcome = cc.decode_nearest(cb, received, 1)
+        assert outcome == cc.DecodeOutcome(cc.IDENTIFIED, frozenset({2, 7, 13}), 1)
 
 
 class TestContainsStation:
