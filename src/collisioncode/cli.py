@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "claims: chip-sum additivity on random pairs; zero: "
                         "all-zero vector is unreachable")
     v.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for the uniqueness enumeration")
+                   help="threads for the uniqueness enumeration; each fills "
+                        "a disjoint range of subsets, so nothing is merged "
+                        "and the report does not depend on the count")
     v.add_argument("--trials", type=int, default=1000,
                    help="random trials for the claims check")
     v.add_argument("--seed", type=int, default=1)

@@ -46,26 +46,23 @@ class InvariantError(ValueError):
 class Codebook:
     """Immutable constant-weight code matrix, one codeword row per station.
 
-    Rows are stored packed, 8 chips per byte; `matrix()` exposes (and
-    caches) the unpacked 0/1 view used by the channel and verifier.
+    Built from the unpacked (n_rows, V) 0/1 matrix, which `matrix()`
+    exposes for the channel and verifier; `packed` holds the same rows 8
+    chips per byte for the decoder. Both arrays are read-only.
     """
 
-    def __init__(self, n_stations: int, packed: np.ndarray, v_length: int):
+    def __init__(self, n_stations: int, bits: np.ndarray):
         self.n_stations = int(n_stations)
-        self.n_rows = packed.shape[0]
+        self.n_rows, self.v_length = bits.shape
         self.r_weight = (self.n_rows + 1) // 2
-        self.v_length = int(v_length)
-        packed.flags.writeable = False
-        self.packed = packed
-        self._matrix: np.ndarray | None = None
+        self.packed = np.packbits(bits, axis=1)
+        self.packed.flags.writeable = False
+        bits.flags.writeable = False
+        self._bits = bits
 
     def matrix(self) -> np.ndarray:
-        """Unpacked (n_rows, V) uint8 matrix; read-only, cached."""
-        if self._matrix is None:
-            bits = np.unpackbits(self.packed, axis=1)[:, :self.v_length]
-            bits.flags.writeable = False
-            self._matrix = bits
-        return self._matrix
+        """Unpacked (n_rows, V) uint8 matrix; read-only."""
+        return self._bits
 
     def row(self, station: int) -> np.ndarray:
         """Codeword of a station, as a read-only length-V 0/1 vector."""
@@ -111,10 +108,7 @@ def build_codebook(n_stations: int, max_stations: int = MAX_STATIONS) -> Codeboo
     # combinations() in lex order == column values in descending order
     # when row 0 is the most significant bit
     bits[ones, np.repeat(np.arange(v), r)] = 1
-    cb = Codebook(n_stations, np.packbits(bits, axis=1), v)
-    bits.flags.writeable = False
-    cb._matrix = bits
-    return cb
+    return Codebook(n_stations, bits)
 
 
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
@@ -185,10 +179,7 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
         rows.append(str_to_bits(line))
     bits = np.vstack(rows)
     _validate_matrix(bits, n_rows, r, v)
-    cb = Codebook(n, np.packbits(bits, axis=1), v)
-    bits.flags.writeable = False
-    cb._matrix = bits
-    return cb
+    return Codebook(n, bits)
 
 
 def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
@@ -203,10 +194,11 @@ def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
     for i in range(n_rows):
         vals <<= np.uint64(1)
         vals |= bits[i].astype(np.uint64)
-    if np.unique(vals).size != v:
-        order = np.argsort(vals, kind="stable")
-        dup = order[np.flatnonzero(np.diff(vals[order]) == 0)[0]]
-        raise InvariantError(f"duplicate column (first at index {int(dup) + 1})")
+    order = np.argsort(vals, kind="stable")
+    ties = np.flatnonzero(np.diff(vals[order]) == 0)
+    if ties.size:
+        raise InvariantError(
+            f"duplicate column (first at index {int(order[ties[0]]) + 1})")
     row_keys = {bits[i].tobytes() for i in range(n_rows)}
     if len(row_keys) != n_rows:
         raise InvariantError("duplicate rows")

@@ -111,26 +111,48 @@ def _sums_vector(cb: Codebook, idx: list[int]) -> np.ndarray:
     return 2 * ones - np.int16(len(idx))
 
 
+def _ones_at(cb: Codebook, rows, col: int) -> tuple[int, int]:
+    """(ones, size): one-bits of a row subset at a 1-based column, and its size."""
+    idx = _row_indices(cb, rows)
+    if not 1 <= col <= cb.v_length:
+        raise ValueError(f"column {col} out of range 1..{cb.v_length}")
+    ones = int(cb.matrix()[idx, col - 1].sum()) if idx else 0
+    return ones, len(idx)
+
+
 def chip_sum(cb: Codebook, rows, col: int) -> int:
     """Signed amplitude sum of a row subset at a 1-based column.
 
     Equals (ones minus zeros) over the subset's bits at that column and
     agrees entrywise with the channel's superposition.
     """
-    idx = _row_indices(cb, rows)
-    if not 1 <= col <= cb.v_length:
-        raise ValueError(f"column {col} out of range 1..{cb.v_length}")
-    ones = int(cb.matrix()[idx, col - 1].sum()) if idx else 0
-    return 2 * ones - len(idx)
+    ones, size = _ones_at(cb, rows, col)
+    return 2 * ones - size
 
 
 def amplitude_counts(cb: Codebook, rows, col: int) -> tuple[int, int]:
     """(plus, minus): how many rows of the subset carry +1 and -1 at col."""
+    ones, size = _ones_at(cb, rows, col)
+    return ones, size - ones
+
+
+# chip sum a witness must reach -> (subset precondition, name of the sum)
+_WITNESS_KINDS = {1: ("a proper non-empty subset of odd size", "+1"),
+                  0: ("a proper subset of non-zero even size", "zero")}
+
+
+def _find_witness(cb: Codebook, rows, target: int) -> WitnessReport:
+    """Smallest column where the subset sums to target, whose parity the
+    subset size must share."""
+    what, name = _WITNESS_KINDS[target]
     idx = _row_indices(cb, rows)
-    if not 1 <= col <= cb.v_length:
-        raise ValueError(f"column {col} out of range 1..{cb.v_length}")
-    ones = int(cb.matrix()[idx, col - 1].sum()) if idx else 0
-    return ones, len(idx) - ones
+    ids = sorted(i + 1 for i in idx)
+    if not idx or len(idx) % 2 != target or len(idx) == cb.n_rows:
+        raise ValueError(f"rows must be {what}, got {ids} of {cb.n_rows} rows")
+    cols = np.flatnonzero(_sums_vector(cb, idx) == target)
+    if not cols.size:
+        raise WitnessNotFoundError(f"no {name} column for rows {ids}")
+    return WitnessReport(frozenset(ids), int(cols[0]) + 1, target)
 
 
 def find_unit_sum_column(cb: Codebook, rows) -> WitnessReport:
@@ -139,30 +161,12 @@ def find_unit_sum_column(cb: Codebook, rows) -> WitnessReport:
     Such a column always exists by construction; failing to find one means
     the matrix is broken, so that case raises instead of returning.
     """
-    idx = _row_indices(cb, rows)
-    if not idx or len(idx) % 2 == 0 or len(idx) == cb.n_rows:
-        raise ValueError(
-            "rows must be a proper non-empty subset of odd size, got "
-            f"{sorted(i + 1 for i in idx)} of {cb.n_rows} rows")
-    cols = np.flatnonzero(_sums_vector(cb, idx) == 1)
-    if not cols.size:
-        raise WitnessNotFoundError(
-            f"no +1 column for rows {sorted(i + 1 for i in idx)}")
-    return WitnessReport(frozenset(i + 1 for i in idx), int(cols[0]) + 1, 1)
+    return _find_witness(cb, rows, 1)
 
 
 def find_zero_sum_column(cb: Codebook, rows) -> WitnessReport:
     """Smallest column where an even-size proper row subset sums to 0."""
-    idx = _row_indices(cb, rows)
-    if not idx or len(idx) % 2 == 1 or len(idx) == cb.n_rows:
-        raise ValueError(
-            "rows must be a proper subset of non-zero even size, got "
-            f"{sorted(i + 1 for i in idx)} of {cb.n_rows} rows")
-    cols = np.flatnonzero(_sums_vector(cb, idx) == 0)
-    if not cols.size:
-        raise WitnessNotFoundError(
-            f"no zero column for rows {sorted(i + 1 for i in idx)}")
-    return WitnessReport(frozenset(i + 1 for i in idx), int(cols[0]) + 1, 0)
+    return _find_witness(cb, rows, 0)
 
 
 def sweep_witnesses(cb: Codebook,
@@ -250,10 +254,12 @@ def verify_uniqueness(cb: Codebook, workers: int = 1,
                       max_rows: int = UNIQUENESS_BUDGET_ROWS) -> UniquenessReport:
     """Enumerate every non-empty row subset and detect vector collisions.
 
-    The collision list must come back empty for a correct codebook. The
-    subset space is partitioned over the high row block when workers > 1;
-    the merged report is identical to the single-worker one (the collision
-    list is order-normalized).
+    The collision list must come back empty for a correct codebook. Each
+    subset's demodulated vector is hashed into one array indexed by subset
+    mask; workers > 1 fill disjoint ranges of the high row block, so
+    nothing is merged and the report is the same for any worker count.
+    Subsets whose hashes tie are demodulated again and grouped by their
+    exact vector, so a hash clash cannot fake or hide a collision.
     """
     m = cb.n_rows
     if m > max_rows:
@@ -265,49 +271,31 @@ def verify_uniqueness(cb: Codebook, workers: int = 1,
     matrix = cb.matrix()
     n_lo = split_rows(m, cb.v_length)
     chunks = _hi_chunks(1 << (m - n_lo), workers)
+    keys = np.empty(1 << m, np.int64)
 
-    def collect(chunk: tuple[int, int]):
-        first: dict[bytes, int] = {}
-        dupes: dict[bytes, list[int]] = {}
+    def fill(chunk: tuple[int, int]) -> None:
         for masks, packed in demod_blocks(matrix, m, n_lo=n_lo, hi_range=chunk):
-            for mask, row in zip(masks.tolist(), packed):
-                if not mask:
-                    continue
-                key = row.tobytes()
-                prev = first.get(key)
-                if prev is None:
-                    first[key] = mask
-                else:
-                    dupes.setdefault(key, [prev]).append(mask)
-        return first, dupes
+            keys[masks] = [hash(row.tobytes()) for row in packed]
 
     if len(chunks) == 1:
-        results = [collect(chunks[0])]
+        fill(chunks[0])
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(collect, chunks))
+            list(pool.map(fill, chunks))
 
-    merged: dict[bytes, int] = {}
-    clashes: dict[bytes, list[int]] = {}
-    for first, dupes in results:
-        for key, mask in first.items():
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = mask
-            else:
-                clashes.setdefault(key, [prev]).append(mask)
-        for key, masks in dupes.items():
-            clashes.setdefault(key, [merged[key]])
-            clashes[key].extend(mk for mk in masks if mk != merged[key])
-
-    collisions = []
-    for key, masks in clashes.items():
-        vec = bits_to_str(np.unpackbits(
-            np.frombuffer(key, np.uint8))[:cb.v_length])
-        for a, b in itertools.combinations(sorted(set(masks)), 2):
-            collisions.append((mask_to_ids(a), mask_to_ids(b), vec))
-    collisions.sort()
-    return UniquenessReport(m, 2 ** m - 1, len(merged), collisions,
+    order = np.argsort(keys[1:], kind="stable") + 1  # mask 0 is not a subset
+    ties = np.flatnonzero(np.diff(keys[order]) == 0)
+    groups: dict[str, list[int]] = {}
+    for mask in sorted(set(order[ties].tolist()) | set(order[ties + 1].tolist())):
+        idx = [i - 1 for i in mask_to_ids(mask)]
+        vec = bits_to_str(_sums_vector(cb, idx) >= 1)
+        groups.setdefault(vec, []).append(mask)
+    collisions = sorted(
+        (mask_to_ids(a), mask_to_ids(b), vec)
+        for vec, masks in groups.items()
+        for a, b in itertools.combinations(masks, 2))
+    distinct = 2 ** m - 1 - sum(len(masks) - 1 for masks in groups.values())
+    return UniquenessReport(m, 2 ** m - 1, distinct, collisions,
                             time.perf_counter() - t0)
 
 

@@ -112,7 +112,16 @@ class TestTextFormat:
 
     def test_rejects_duplicate_column(self):
         doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n111\n001\n"
-        with pytest.raises(cc.InvariantError):
+        with pytest.raises(cc.InvariantError,
+                           match=r"^duplicate column \(first at index 1\)$"):
+            cc.parse_codebook(doc)
+
+    def test_duplicate_column_message_names_first_copy(self):
+        # column 7 copied over column 4 keeps every column weight at 3
+        rows = [row[:3] + row[6] + row[4:] for row in oracles.matrix_rows(5)]
+        doc = "COLLISIONCODE v1 N=5 ROWS=5 R=3 V=10\n" + "\n".join(rows) + "\n"
+        with pytest.raises(cc.InvariantError,
+                           match=r"^duplicate column \(first at index 4\)$"):
             cc.parse_codebook(doc)
 
     def test_rejects_header_v_mismatch(self):

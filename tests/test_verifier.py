@@ -1,17 +1,45 @@
 """Chip-sum operations and the exhaustive code checks."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode._subsets import demod_blocks, mask_to_ids
+from collisioncode import verifier
+from collisioncode._subsets import demod_blocks, ids_to_mask, mask_to_ids
 from conftest import cached_codebook
 import oracles
 
 
 def row_subset_strategy(n_rows, min_size=0):
     return st.sets(st.integers(1, n_rows), min_size=min_size).map(frozenset)
+
+
+def corrupted_rows(n_rows, src, dst):
+    """Oracle matrix rows with row src copied over row dst (1-based)."""
+    rows = oracles.matrix_rows(n_rows)
+    rows[dst - 1] = rows[src - 1]
+    return rows
+
+
+def codebook_from_rows(rows):
+    """Codebook built directly, since parse_codebook rejects broken matrices."""
+    bits = np.array([[int(c) for c in row] for row in rows], np.uint8)
+    return cc.Codebook(len(rows), bits)
+
+
+def brute_force_uniqueness(rows):
+    """(collisions, distinct_vectors) by grouping every non-empty subset's
+    oracle demodulation; pairs are in ascending mask order."""
+    groups = {}
+    for subset in oracles.nonempty_subsets(len(rows)):
+        groups.setdefault(oracles.demod(rows, subset), []).append(subset)
+    collisions = sorted(
+        (a, b, vec) for vec, subsets in groups.items()
+        for a, b in combinations(sorted(subsets, key=ids_to_mask), 2))
+    return collisions, len(groups)
 
 
 class TestChipSum:
@@ -183,6 +211,28 @@ class TestUniqueness:
             cc.verify_uniqueness(cached_codebook(16))
         with pytest.raises(ValueError):
             cc.verify_uniqueness(cached_codebook(3), workers=0)
+
+    @pytest.mark.parametrize("n_rows,src,dst", [(3, 1, 2), (5, 4, 2),
+                                                (7, 7, 3), (9, 2, 9)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_collisions_match_brute_force(self, n_rows, src, dst, workers):
+        rows = corrupted_rows(n_rows, src, dst)
+        report = cc.verify_uniqueness(codebook_from_rows(rows), workers=workers)
+        collisions, distinct = brute_force_uniqueness(rows)
+        assert collisions  # a copied row always collides with its source
+        assert report.collisions == collisions
+        assert report.distinct_vectors == distinct
+        assert report.subsets_checked == 2 ** n_rows - 1
+
+    @pytest.mark.parametrize("rows", [oracles.matrix_rows(5),
+                                      corrupted_rows(5, 1, 4)])
+    def test_report_survives_every_hash_tying(self, rows, monkeypatch):
+        cb = codebook_from_rows(rows)
+        expected = cc.verify_uniqueness(cb)
+        monkeypatch.setattr(verifier, "hash", lambda key: 0, raising=False)
+        report = cc.verify_uniqueness(cb, workers=3)
+        assert report.collisions == expected.collisions
+        assert report.distinct_vectors == expected.distinct_vectors
 
     def test_json_shape(self):
         d = cc.verify_uniqueness(cached_codebook(3)).to_json_dict()
