@@ -6,7 +6,11 @@ an (n+1)-row matrix when n is even), and the columns enumerate every
 length-`rows` pattern holding exactly (rows+1)/2 ones, each pattern
 appearing once. Columns are ordered by descending numeric value of the
 column pattern with row 1 as the most significant bit, which makes
-construction deterministic.
+construction deterministic: the column values are exactly the integers
+below 2^rows with (rows+1)/2 bits set, in descending order, so the
+matrix is built by filtering that range on popcount and unpacking the
+surviving values row by row. Parsing re-validates a document through the
+same column values.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -22,7 +26,6 @@ File format (ASCII, LF line endings, no trailing whitespace):
 
 import math
 import re
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -101,14 +104,22 @@ def build_codebook(n_stations: int, max_stations: int = MAX_STATIONS) -> Codeboo
             f"(codeword length grows as C(rows, (rows+1)/2))")
     n_rows = n_stations + (n_stations % 2 == 0)
     r = (n_rows + 1) // 2
-    v = math.comb(n_rows, r)
-    bits = np.zeros((n_rows, v), np.uint8)
-    ones = np.fromiter(chain.from_iterable(combinations(range(n_rows), r)),
-                       np.int64, count=v * r)
-    # combinations() in lex order == column values in descending order
-    # when row 0 is the most significant bit
-    bits[ones, np.repeat(np.arange(v), r)] = 1
+    # every column value in descending order, row 1 as the MSB, keeping
+    # those of weight R; unpacked one row at a time straight into the
+    # matrix (the cast keeps the low byte), since a whole (n_rows, V)
+    # temporary of column values would be 4x the matrix
+    vals = np.arange((1 << n_rows) - 1, -1, -1, dtype=_column_dtype(n_rows))
+    vals = vals[np.bitwise_count(vals) == r]
+    bits = np.empty((n_rows, vals.size), np.uint8)
+    for i in range(n_rows):
+        np.right_shift(vals, n_rows - 1 - i, out=bits[i], casting="unsafe")
+        bits[i] &= 1
     return Codebook(n_stations, bits)
+
+
+def _column_dtype(n_rows: int) -> np.dtype:
+    """Narrowest unsigned type that holds an n_rows-bit column value."""
+    return np.min_scalar_type((1 << n_rows) - 1)
 
 
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
@@ -183,17 +194,17 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
 
 
 def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
-    col_weights = bits.sum(axis=0)
+    # column value with row 1 as MSB
+    vals = np.zeros(v, _column_dtype(n_rows))
+    for i in range(n_rows):
+        np.left_shift(vals, 1, out=vals)
+        np.bitwise_or(vals, bits[i], out=vals)
+    col_weights = np.bitwise_count(vals)
     bad = np.flatnonzero(col_weights != r)
     if bad.size:
         raise InvariantError(
             f"column {int(bad[0]) + 1} has weight {int(col_weights[bad[0]])}, "
             f"expected {r}")
-    # column value with row 1 as MSB; n_rows <= 26 so uint64 is plenty
-    vals = np.zeros(v, np.uint64)
-    for i in range(n_rows):
-        vals <<= np.uint64(1)
-        vals |= bits[i].astype(np.uint64)
     order = np.argsort(vals, kind="stable")
     ties = np.flatnonzero(np.diff(vals[order]) == 0)
     if ties.size:

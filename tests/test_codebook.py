@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
+from collisioncode.codebook import _column_dtype, _validate_matrix
 from conftest import cached_codebook
 import oracles
 
@@ -33,6 +34,22 @@ class TestConstruction:
         m = cb.matrix()
         assert (m.sum(axis=0) == 3).all()
         assert (m.sum(axis=1) == math.comb(4, 2)).all()
+
+    @pytest.mark.parametrize("n", range(1, cc.MAX_STATIONS + 1))
+    def test_column_values_pin_the_matrix(self, n):
+        # strictly descending values, each of weight R, C(rows, R) of them:
+        # only the canonical matrix has all three
+        cb = cc.build_codebook(n)
+        m = cb.matrix()
+        assert m.shape == (cb.n_rows, math.comb(cb.n_rows, cb.r_weight))
+        assert (m <= 1).all()
+        vals = np.zeros(cb.v_length, np.uint64)
+        for i in range(cb.n_rows):
+            vals += m[i] * np.uint64(1 << (cb.n_rows - 1 - i))
+        assert (vals[1:] < vals[:-1]).all()
+        assert (m.sum(axis=0, dtype=np.uint8) == cb.r_weight).all()
+        if cb.n_rows <= 13:
+            assert rows_as_strings(cb) == oracles.matrix_rows(cb.n_rows)
 
     def test_even_station_count_uses_next_odd_matrix(self):
         cb4, cb5 = cached_codebook(4), cached_codebook(5)
@@ -107,8 +124,33 @@ class TestTextFormat:
 
     def test_rejects_low_weight_column(self):
         doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n010\n101\n011\n"
-        with pytest.raises(cc.InvariantError, match="weight"):
+        with pytest.raises(cc.InvariantError,
+                           match=r"^column 1 has weight 1, expected 2$"):
             cc.parse_codebook(doc)
+
+    @pytest.mark.parametrize("columns, message", [
+        (["110"], r"^duplicate rows$"),
+        (["110", "101"], r"^row 2 has weight 1, expected 2$"),
+    ])
+    def test_row_check_messages(self, columns, message):
+        # the full set of distinct weight-R columns forces distinct rows of
+        # equal weight, so only a partial column set reaches these checks
+        bits = np.array([[int(c) for c in col] for col in columns],
+                        np.uint8).T.copy()
+        with pytest.raises(cc.InvariantError, match=message):
+            _validate_matrix(bits, 3, 2, len(columns))
+
+    @pytest.mark.parametrize("perm", [
+        [9, 8, 7, 6, 5, 4, 3, 2, 1, 0], [3, 0, 7, 1, 9, 4, 2, 8, 6, 5],
+    ])
+    def test_column_permuted_document_parses(self, perm):
+        # parse asks for distinct weight-R columns, not descending order
+        m = cached_codebook(5).matrix()
+        doc = "COLLISIONCODE v1 N=5 ROWS=5 R=3 V=10\n" + "".join(
+            cc.bits_to_str(row) + "\n" for row in m[:, perm])
+        cb = cc.parse_codebook(doc)
+        assert np.array_equal(cb.matrix(), m[:, perm])
+        assert cc.serialize_codebook(cb) == doc
 
     def test_rejects_duplicate_column(self):
         doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n111\n001\n"
@@ -166,6 +208,20 @@ class TestTextFormat:
         lines[row] = line[:col] + ("1" if line[col] == "0" else "0") + line[col + 1:]
         with pytest.raises(cc.InvariantError):
             cc.parse_codebook("\n".join(lines) + "\n")
+
+
+class TestColumnDtype:
+    @pytest.mark.parametrize("n_rows, dtype", [
+        (1, np.uint8), (7, np.uint8), (9, np.uint16), (15, np.uint16),
+        (17, np.uint32), (25, np.uint32), (33, np.uint64), (64, np.uint64),
+    ])
+    def test_narrowest_type_holding_a_column(self, n_rows, dtype):
+        assert _column_dtype(n_rows) == dtype
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17])
+    def test_round_trip_on_either_side_of_a_width_change(self, n):
+        cb = cached_codebook(n)
+        assert cc.parse_codebook(cc.serialize_codebook(cb)) == cb
 
 
 class TestBitStrings:
