@@ -13,7 +13,7 @@ from .codebook import (Codebook, FormatError, InvariantError, MAX_STATIONS,
                        SizeLimitError, bits_to_str, build_codebook,
                        codeword_for, parse_codebook, serialize_codebook,
                        str_to_bits)
-from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_STATIONS,
+from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_CHIPS,
                       NOMATCH, SILENCE, contains_station, decode_exact,
                       decode_nearest)
 from .protocol import (RoundResult, SessionConfig, SessionStats, run_round,
@@ -36,7 +36,7 @@ __all__ = [
     "serialize_codebook", "parse_codebook", "bits_to_str", "str_to_bits",
     "SizeLimitError", "FormatError", "InvariantError",
     "DecodeOutcome", "IDENTIFIED", "SILENCE", "NOMATCH",
-    "NEAREST_BUDGET_STATIONS", "decode_exact", "decode_nearest",
+    "NEAREST_BUDGET_CHIPS", "decode_exact", "decode_nearest",
     "contains_station",
     "UniquenessReport", "WitnessReport", "WitnessSweepReport",
     "AdditivityReport", "WitnessNotFoundError", "UNIQUENESS_BUDGET_ROWS",

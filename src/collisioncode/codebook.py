@@ -210,6 +210,12 @@ def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
     if ties.size:
         raise InvariantError(
             f"duplicate column (first at index {int(order[ties[0]]) + 1})")
+    # C(n_rows, r) distinct columns of weight r are every weight-r pattern,
+    # so any two rows differ (some pattern holds one and not the other) and
+    # each row holds a one in the C(n_rows-1, r-1) patterns through it;
+    # only a partial column set can fail the row checks
+    if v == math.comb(n_rows, r):
+        return
     row_keys = {bits[i].tobytes() for i in range(n_rows)}
     if len(row_keys) != n_rows:
         raise InvariantError("duplicate rows")

@@ -20,19 +20,39 @@ a vector with no preimage can never re-encode to itself, so a mismatch
 is a no-match. The cost is one pass over the packed station rows plus one
 superposition, O(n * V), with no per-codebook state.
 
-Nearest-match decoding still scans all 2^n subsets and is refused above
-NEAREST_BUDGET_STATIONS stations.
+Nearest-match decoding ranks the stations by the same correlation (ties
+by station id) and measures the distance from y to the top-k set for
+every k = 1..n, adding one row per k: O(n * V) in all. The best of these,
+S* at distance d*, is the candidate. By the same symmetry the distance
+between demod(S) and demod(T) depends only on the overlap class
+(|S - T|, |T - S|, |S & T|), so every non-empty T other than S* lies at
+least r_k from S*, where r_k is the least class distance for |S*| = k
+(see _classes). When 2 d* < r_k, every such T is farther than d* from y
+and S* is the unique nearest subset: certified without a search.
+Otherwise the triangle inequality puts every T within d* of y inside
+the classes within 2 d* of S*, and the decoder searches exactly those,
+so the result is the one a scan of all 2^n subsets would give. The
+search is sized from the class counts before it starts: one that would
+cover more than NEAREST_BUDGET_CHIPS chips (subsets times V, the work of
+a full scan at 17 stations) raises SizeLimitError. No input at n <= 17
+is refused, and above that a vector close to a subset's is certified or
+searched at every size up to MAX_STATIONS.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._subsets import POPCOUNT8, demod_blocks, mask_to_ids
+from . import _classes
+from ._subsets import POPCOUNT8, split_rows
 from .channel import demodulate, superpose
 from .codebook import Codebook, SizeLimitError
 
-NEAREST_BUDGET_STATIONS = 17
+# the chips of the largest search the old 2^n scan ran: every subset at 17
+# stations, so no input at n <= 17 is refused
+NEAREST_BUDGET_CHIPS = ((1 << 17) - 1) * math.comb(17, 9)
 
 IDENTIFIED = "identified"
 SILENCE = "silence"
@@ -62,14 +82,19 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def _correlation(cb: Codebook, bits: np.ndarray) -> np.ndarray:
+    """Ones shared by bits and each station's codeword."""
+    # the padding row of an even-n codebook belongs to no station
+    return POPCOUNT8[cb.packed[:cb.n_stations] & np.packbits(bits)].sum(
+        axis=1, dtype=np.int64)
+
+
 def decode_exact(cb: Codebook, received) -> DecodeOutcome:
     """Unique preimage of a received bitstream, silence, or no match."""
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
-    # the padding row of an even-n codebook belongs to no station
-    corr = POPCOUNT8[cb.packed[:cb.n_stations] & np.packbits(bits)].sum(
-        axis=1, dtype=np.int64)
+    corr = _correlation(cb, bits)
     stations = frozenset((np.flatnonzero(corr == corr.max()) + 1).tolist())
     if not np.array_equal(demodulate(superpose(cb, stations)), bits):
         return DecodeOutcome(NOMATCH)
@@ -84,37 +109,137 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     a no-match (a detected failure beats a guessed ACK set). An all-zero
     input is silence regardless of max_dist. Near-zero nonzero inputs are
     matched against subset vectors only, since silence is defined by the
-    exact all-zero vector. The search enumerates every subset, so codebooks
-    above NEAREST_BUDGET_STATIONS stations raise SizeLimitError.
+    exact all-zero vector. An input whose exact search would cover more
+    than NEAREST_BUDGET_CHIPS subset chips raises SizeLimitError before
+    the search starts.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
-    if cb.n_stations > NEAREST_BUDGET_STATIONS:
-        raise SizeLimitError(
-            f"n_stations={cb.n_stations} exceeds the nearest-decode budget "
-            f"of {NEAREST_BUDGET_STATIONS}")
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
-    target = np.frombuffer(np.packbits(bits).tobytes(), np.uint8)
-    sentinel = cb.v_length + 1
-    best = sentinel
-    best_mask = 0
-    ties = 0
-    for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
-        dists = POPCOUNT8[packed ^ target].sum(axis=1, dtype=np.int64)
-        zero_pos = np.flatnonzero(masks == 0)
-        if zero_pos.size:
-            dists[zero_pos] = sentinel
-        block_min = int(dists.min())
-        if block_min < best:
-            hits = np.flatnonzero(dists == block_min)
-            best, best_mask, ties = block_min, int(masks[hits[0]]), len(hits)
-        elif block_min == best:
-            ties += int((dists == block_min).sum())
+    n, m, y = cb.n_stations, cb.matrix(), bits.view(bool)
+    order = np.argsort(-_correlation(cb, bits), kind="stable")
+    counts = np.zeros(cb.v_length, np.uint8)
+    demod = np.empty(cb.v_length, bool)
+    best, best_k = cb.v_length + 1, 0
+    for k, i in enumerate(order.tolist(), start=1):
+        counts += m[i]
+        np.greater_equal(counts, k // 2 + 1, out=demod)
+        dist = int(np.count_nonzero(np.not_equal(demod, y, out=demod)))
+        if dist < best:
+            best, best_k = dist, k
+    members = sorted(order[:best_k].tolist())
+    ties = 1
+    if 2 * best >= _classes.radius(n, best_k):
+        best, members, ties = _nearest_by_class(cb, bits, members, best)
     if best > max_dist or ties > 1:
-        return DecodeOutcome(NOMATCH, None, best if best < sentinel else None)
-    return DecodeOutcome(IDENTIFIED, frozenset(mask_to_ids(best_mask)), best)
+        return DecodeOutcome(NOMATCH, None, best)
+    return DecodeOutcome(IDENTIFIED, frozenset(i + 1 for i in members), best)
+
+
+def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
+                      dist: int) -> tuple[int, list[int], int]:
+    """(distance, stations, count) of the subsets nearest to bits, given a
+    subset S (station indices) at distance dist from it.
+
+    Every T with d(bits, T) <= dist lies within 2*dist of S, so only the
+    overlap classes (a, b) = (|S - T|, |T - S|) with class distance at most
+    2*dist are searched, and they hold every nearest subset. T is S with a
+    members dropped and b non-members added, so its chip counts are those
+    of S plus a signed sum of rows: -1 for a member, +1 for a non-member.
+    As in count_blocks, the signed sums over a low block of stations are
+    tabulated once by the lowbit recurrence, and each high-block flip set
+    adds its own sum to the table rows that complete an enumerated class.
+    """
+    n, k, rows = cb.n_stations, len(members), cb.n_rows
+    in_class = np.zeros((k + 1, n - k + 1), bool)
+    for a, b in _classes.other_classes(n, k):
+        in_class[a, b] = _classes.class_distance(rows, a, b, k - a) <= 2 * dist
+    subsets = sum(math.comb(k, a) * math.comb(n - k, b)
+                  for a, b in zip(*np.nonzero(in_class)))
+    if subsets * cb.v_length > NEAREST_BUDGET_CHIPS:
+        raise SizeLimitError(
+            f"an exact search of {subsets} subsets of {cb.v_length} chips "
+            f"exceeds the nearest-decode budget of {NEAREST_BUDGET_CHIPS} "
+            f"chips")
+    # classes that a partial flip set can still grow into
+    open_class = np.logical_or.accumulate(
+        np.logical_or.accumulate(in_class[::-1], axis=0)[:, ::-1],
+        axis=1)[::-1, ::-1]
+
+    # d(bits, T) = |demod T| + |bits| - 2 |demod T & bits|, and |demod T|
+    # is known from |T| alone, so only the columns on one side of bits are
+    # needed: the ones, or the zeros where |demod T & bits| = |demod T| -
+    # |demod T & ~bits|. The side is padded with zero columns, which stay
+    # below every threshold, to whole 64-bit words for the popcount.
+    on_ones = 2 * np.count_nonzero(bits) <= bits.size
+    cols = np.flatnonzero(bits if on_ones else bits == 0)
+    width = -(-cols.size // 64) * 64
+    is_member = np.zeros(n, bool)
+    is_member[members] = True
+    m = cb.matrix()
+    flip = []
+    base = np.zeros(width, np.int8)
+    for i in range(n):
+        row = np.zeros(width, np.int8)
+        row[:cols.size] = m[i, cols]
+        if is_member[i]:
+            base += row
+            np.negative(row, out=row)
+        flip.append(row)
+    weight = np.array([_classes.demod_weight(rows, s) for s in range(n + 1)])
+    offset = np.count_nonzero(bits) + (weight if on_ones else -weight)
+    sign = -2 if on_ones else 2
+
+    n_lo = split_rows(n, width)
+    lo_masks = np.arange(1 << n_lo)
+    lo_members = sum(1 << i for i in range(n_lo) if is_member[i])
+    lo_a = np.bitwise_count(lo_masks & lo_members)
+    lo_b = np.bitwise_count(lo_masks & ~lo_members)
+    table = np.empty((1 << n_lo, width), np.int8)
+    table[0] = 0
+    for mask in range(1, 1 << n_lo):
+        if open_class[lo_a[mask], lo_b[mask]]:
+            low = mask & -mask
+            np.add(table[mask ^ low], flip[low.bit_length() - 1],
+                   out=table[mask])
+
+    best, best_set, ties = dist, members, 1
+    hi_members = [i for i in range(n_lo, n) if is_member[i]]
+    hi_others = [i for i in range(n_lo, n) if not is_member[i]]
+    for a_hi, b_hi in zip(*np.nonzero(open_class)):
+        if a_hi > len(hi_members) or b_hi > len(hi_others):
+            continue
+        sel = np.flatnonzero(in_class[a_hi + lo_a, b_hi + lo_b])
+        if not sel.size:
+            continue
+        size = k - a_hi - lo_a[sel] + b_hi + lo_b[sel]
+        threshold = (size // 2 + 1).astype(np.int8)[:, None]
+        rows_sel = table[sel]
+        block = np.empty_like(rows_sel)
+        for drop in itertools.combinations(hi_members, a_hi):
+            for add in itertools.combinations(hi_others, b_hi):
+                cur = base.copy()
+                for i in drop + add:
+                    cur += flip[i]
+                np.add(rows_sel, cur, out=block)
+                hits = np.bitwise_count(np.packbits(
+                    block >= threshold, axis=1).view(np.uint64)).sum(
+                        axis=1, dtype=np.int64)
+                d = offset[size] + sign * hits
+                low = int(d.min())
+                if low > best:
+                    continue
+                at = np.flatnonzero(d == low)
+                if low < best:
+                    best, ties = low, 0
+                    lo_mask = int(sel[at[0]])
+                    best_set = sorted(
+                        (set(members) - set(drop) | set(add))
+                        ^ {i for i in range(n_lo) if lo_mask >> i & 1})
+                ties += at.size
+    return best, best_set, ties
 
 
 def contains_station(cb: Codebook, received, station: int) -> str:

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import collisioncode as cc
@@ -137,12 +138,25 @@ class TestDecode:
         assert json.loads(out) == {"kind": "identified", "stations": [1, 2],
                                    "distance": 1}
 
-    def test_nearest_over_budget_is_usage_error(self, capsys, tmp_path):
+    def test_nearest_beyond_17_stations(self, capsys, tmp_path):
         cb = cached_codebook(18)
         path = tmp_path / "cb.txt"
         path.write_text(cc.serialize_codebook(cb))
         vec = tmp_path / "vec.txt"
         vec.write_text(cc.bits_to_str(cc.demodulate(cc.superpose(cb, {1}))))
+        code, out, _ = run(capsys, ["decode", "--codebook", str(path),
+                                    "--vector-file", str(vec), "--nearest"])
+        assert code == 0
+        assert json.loads(out) == {"kind": "identified", "stations": [1],
+                                   "distance": 0}
+
+    def test_nearest_over_chip_budget_is_usage_error(self, capsys, tmp_path):
+        cb = cached_codebook(18)
+        path = tmp_path / "cb.txt"
+        path.write_text(cc.serialize_codebook(cb))
+        vec = tmp_path / "vec.txt"
+        uniform = np.random.default_rng(18).integers(0, 2, cb.v_length)
+        vec.write_text(cc.bits_to_str(uniform))
         code, out, err = run(capsys, ["decode", "--codebook", str(path),
                                       "--vector-file", str(vec), "--nearest"])
         assert code == 2 and out == ""

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
+from collisioncode import decoder
+from collisioncode._subsets import POPCOUNT8, demod_blocks, mask_to_ids
 from conftest import cached_codebook, load_golden
 import oracles
 
@@ -32,6 +34,33 @@ def smallest_unreachable(n_stations: int) -> str:
         if candidate not in reachable:
             return candidate
     raise AssertionError("every vector reachable")
+
+
+def scan_nearest(cb, received, max_dist: int) -> cc.DecodeOutcome:
+    """decode_nearest by scanning the demodulated vector of every subset."""
+    bits = np.asarray(received, np.uint8)
+    if not bits.any():
+        return cc.DecodeOutcome(cc.SILENCE, None, 0)
+    target = np.packbits(bits)
+    sentinel = cb.v_length + 1
+    best, best_mask, ties = sentinel, 0, 0
+    for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
+        dists = POPCOUNT8[packed ^ target].sum(axis=1, dtype=np.int64)
+        dists[masks == 0] = sentinel
+        block_min = int(dists.min())
+        if block_min < best:
+            hits = np.flatnonzero(dists == block_min)
+            best, best_mask, ties = block_min, int(masks[hits[0]]), len(hits)
+        elif block_min == best:
+            ties += int((dists == block_min).sum())
+    if best > max_dist or ties > 1:
+        return cc.DecodeOutcome(cc.NOMATCH, None, best)
+    return cc.DecodeOutcome(cc.IDENTIFIED, frozenset(mask_to_ids(best_mask)),
+                            best)
+
+
+def noisy_vector(cb, subset, sigma: float, seed: int) -> np.ndarray:
+    return cc.threshold_noisy(cc.superpose_noisy(cb, subset, sigma, seed))
 
 
 class TestDecodeExact:
@@ -279,12 +308,32 @@ class TestDecodeNearest:
         with pytest.raises(ValueError):
             cc.decode_nearest(cached_codebook(3), cc.str_to_bits("110"), -1)
 
-    def test_refused_above_station_budget(self):
-        assert cc.NEAREST_BUDGET_STATIONS == 17
+    def test_refused_over_chip_budget(self):
+        # a uniform vector is far from every subset, so the exact search
+        # would cover all 2^18 of them
+        assert cc.NEAREST_BUDGET_CHIPS == (2 ** 17 - 1) * math.comb(17, 9)
         cb = cached_codebook(18)
-        received = cc.demodulate(cc.superpose(cb, {1, 2}))
+        received = np.random.default_rng(18).integers(0, 2, cb.v_length)
         with pytest.raises(cc.SizeLimitError, match="nearest-decode budget"):
-            cc.decode_nearest(cb, received, 0)
+            cc.decode_nearest(cb, received, cb.v_length)
+
+    def test_full_search_at_17_stations_is_not_refused(self):
+        cb = cached_codebook(17)
+        received = np.random.default_rng(17).integers(0, 2, cb.v_length)
+        outcome = cc.decode_nearest(cb, received, cb.v_length)
+        assert outcome.distance is not None
+
+    @pytest.mark.parametrize("n", [18, 21, 25])
+    def test_noisy_vector_decodes_at_large_n(self, n):
+        cb = cc.build_codebook(n)  # not cached: the n=25 codebook is 150 MB
+        rng = random.Random(n)
+        subset = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        received = noisy_vector(cb, subset, 0.5, n)
+        clean = cc.demodulate(cc.superpose(cb, subset))
+        distance = int(np.count_nonzero(received != clean))
+        assert distance > 0
+        assert cc.decode_nearest(cb, received, distance) == cc.DecodeOutcome(
+            cc.IDENTIFIED, subset, distance)
 
     def test_inside_station_budget(self):
         cb = cached_codebook(13)
@@ -292,6 +341,79 @@ class TestDecodeNearest:
         received[0] ^= 1
         outcome = cc.decode_nearest(cb, received, 1)
         assert outcome == cc.DecodeOutcome(cc.IDENTIFIED, frozenset({2, 7, 13}), 1)
+
+
+class TestNearestAgainstScan:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_vector(self, n):
+        cb = cached_codebook(n)
+        v = cb.v_length
+        for value in range(2 ** v):
+            received = cc.str_to_bits(format(value, f"0{v}b"))
+            for max_dist in (0, 1, 2, v):
+                assert cc.decode_nearest(cb, received, max_dist) == \
+                    scan_nearest(cb, received, max_dist), (value, max_dist)
+
+    @pytest.mark.parametrize("n", range(6, 14))
+    def test_seeded_sweep(self, n, monkeypatch):
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = decoder._nearest_by_class
+        monkeypatch.setattr(decoder, "_nearest_by_class", counted)
+        cb = cached_codebook(n)
+        v = cb.v_length
+        rng = np.random.default_rng(600 + n)
+
+        def random_subset():
+            mask = int(rng.integers(1, 2 ** n))
+            return [i + 1 for i in range(n) if mask >> i & 1]
+
+        vectors = []
+        for _ in range(24 if n >= 12 else 60):
+            kind = rng.integers(3)
+            if kind == 0:
+                received = rng.integers(0, 2, v).astype(np.uint8)
+            elif kind == 1:
+                received = cc.demodulate(cc.superpose(cb, random_subset()))
+                flips = rng.choice(v, int(rng.integers(0, v // 6 + 1)),
+                                   replace=False)
+                received[flips] ^= 1
+            else:
+                # halfway between two subset vectors, as in
+                # test_tie_reports_no_match
+                received = cc.demodulate(cc.superpose(cb, random_subset()))
+                other = cc.demodulate(cc.superpose(cb, random_subset()))
+                diff = np.flatnonzero(received != other)
+                received[diff[:diff.size // 2]] ^= 1
+            vectors.append(received)
+        kinds = set()
+        for received in vectors:
+            expect = scan_nearest(cb, received, v)
+            assert cc.decode_nearest(cb, received, v) == expect
+            kinds.add(expect.kind)
+            d = expect.distance
+            for max_dist in {d, d - 1} - {-1}:
+                assert cc.decode_nearest(cb, received, max_dist) == \
+                    scan_nearest(cb, received, max_dist), max_dist
+        assert kinds == {cc.IDENTIFIED, cc.NOMATCH}  # nomatch here is a tie
+        assert 0 < len(searches) < 3 * len(vectors)
+
+    def test_low_noise_needs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(decoder, "_nearest_by_class", no_search)
+        cb = cached_codebook(13)
+        rng = np.random.default_rng(13)
+        for seed in range(32):
+            subset = {i + 1 for i in range(13) if rng.random() < 0.5} or {1}
+            received = noisy_vector(cb, subset, 0.3, seed)
+            assert cc.decode_nearest(cb, received, 200) == scan_nearest(
+                cb, received, 200)
 
 
 class TestContainsStation:
