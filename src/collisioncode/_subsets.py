@@ -12,8 +12,6 @@ between iterations; copy them if they must outlive the loop body.
 
 import numpy as np
 
-POPCOUNT8 = np.array([i.bit_count() for i in range(256)], dtype=np.uint8)
-
 DEFAULT_LO_BITS = 8
 _LO_TABLE_BYTES = 1 << 26
 

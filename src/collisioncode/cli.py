@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import channel, decoder, protocol, verifier
 from .codebook import (FormatError, InvariantError, SizeLimitError,
                        bits_to_str, build_codebook, codeword_for,
@@ -59,12 +61,24 @@ def cmd_superpose(args) -> int:
         out["seed"] = profile.seed
         out["samples"] = profile.samples.tolist()
         out["bits"] = bits_to_str(channel.threshold_noisy(profile))
-    else:
-        profile = channel.superpose(cb, stations)
-        out["sums"] = profile.sums.tolist()
-        out["bits"] = bits_to_str(channel.demodulate(profile))
-    print(json.dumps(out))
+        print(json.dumps(out))
+        return 0
+    profile = channel.superpose(cb, stations)
+    bits = bits_to_str(channel.demodulate(profile))
+    # json.dumps(out | {"sums": sums.tolist(), "bits": bits}), spelled out
+    # so the V sums never become a list of Python ints
+    print(f'{json.dumps(out)[:-1]}, "sums": '
+          f'{_json_int_list(profile.sums, len(stations))}, "bits": "{bits}"}}')
     return 0
+
+
+def _json_int_list(values, bound: int) -> str:
+    """json.dumps(values.tolist()) for integers within [-bound, bound]."""
+    # one fixed-width, NUL-padded "<v>, " token per value, looked up as a
+    # block; dropping the padding and the last ", " leaves the JSON list
+    table = np.array([f"{v}, ".encode() for v in range(-bound, bound + 1)])
+    chars = table[values + bound].view(np.uint8)
+    return f"[{chars[chars != 0].tobytes()[:-2].decode('ascii')}]"
 
 
 def cmd_decode(args) -> int:

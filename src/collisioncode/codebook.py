@@ -9,8 +9,10 @@ column pattern with row 1 as the most significant bit, which makes
 construction deterministic: the column values are exactly the integers
 below 2^rows with (rows+1)/2 bits set, in descending order, so the
 matrix is built by filtering that range on popcount and unpacking the
-surviving values row by row. Parsing re-validates a document through the
-same column values.
+surviving values row by row. Parsing reads the whole byte image of a
+document first, as a (rows, V+1) array whose last column must be LF, and
+splits it into lines only to name the first fault of a malformed one; it
+then re-validates the matrix through the same column values.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -146,11 +148,14 @@ def str_to_bits(s: str) -> np.ndarray:
 
 def serialize_codebook(cb: Codebook) -> str:
     """Canonical text form; the same codebook always yields identical bytes."""
-    lines = [f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
-             f"R={cb.r_weight} V={cb.v_length}"]
-    m = cb.matrix()
-    lines.extend(bits_to_str(m[i]) for i in range(cb.n_rows))
-    return "\n".join(lines) + "\n"
+    header = (f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
+              f"R={cb.r_weight} V={cb.v_length}\n").encode("ascii")
+    buf = np.empty(len(header) + cb.n_rows * (cb.v_length + 1), np.uint8)
+    buf[:len(header)] = np.frombuffer(header, np.uint8)
+    body = buf[len(header):].reshape(cb.n_rows, cb.v_length + 1)
+    np.add(cb.matrix(), ord("0"), out=body[:, :-1])
+    body[:, -1] = ord("\n")
+    return str(buf.data, "ascii")
 
 
 def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
@@ -163,10 +168,10 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
     """
     if not doc.endswith("\n"):
         raise FormatError("document must end with a newline")
-    lines = doc[:-1].split("\n")
-    header = _HEADER.fullmatch(lines[0])
+    head = doc[:doc.index("\n")]
+    header = _HEADER.fullmatch(head)
     if header is None:
-        raise FormatError(f"bad header line: {lines[0]!r}")
+        raise FormatError(f"bad header line: {head!r}")
     n, n_rows, r, v = (int(g) for g in header.groups())
     if n < 1:
         raise InvariantError("N must be >= 1")
@@ -181,6 +186,40 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
     if v != math.comb(n_rows, r):
         raise InvariantError(
             f"V={v}, expected C({n_rows},{r}) = {math.comb(n_rows, r)}")
+    bits = _image_bits(doc, len(head) + 1, n_rows, v)
+    if bits is None:
+        bits = _line_bits(doc, n_rows, v)
+    _validate_matrix(bits, n_rows, r, v)
+    return Codebook(n, bits)
+
+
+def _image_bits(doc: str, start: int, n_rows: int, v: int) -> np.ndarray | None:
+    """The (n_rows, v) matrix read off the document's bytes in one pass.
+
+    None unless everything after the header is exactly n_rows lines of v
+    ASCII '0'/'1' characters, each ending in LF; the caller then falls
+    back to `_line_bits`.
+    """
+    if len(doc) != start + n_rows * (v + 1):
+        return None
+    try:
+        data = np.frombuffer(doc.encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        return None
+    body = data[start:].reshape(n_rows, v + 1)
+    if (body[:, -1] != ord("\n")).any():
+        return None
+    # characters below '0' wrap round to large values
+    bits = body[:, :-1] - np.uint8(ord("0"))
+    if bits.max() > 1:
+        return None
+    return bits
+
+
+def _line_bits(doc: str, n_rows: int, v: int) -> np.ndarray:
+    """The (n_rows, v) matrix parsed line by line; raises FormatError
+    naming the first malformed line."""
+    lines = doc[:-1].split("\n")
     if len(lines) != 1 + n_rows:
         raise FormatError(f"expected {n_rows} row lines, got {len(lines) - 1}")
     rows = []
@@ -188,9 +227,7 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
         if len(line) != v:
             raise FormatError(f"row {i} has length {len(line)}, expected {v}")
         rows.append(str_to_bits(line))
-    bits = np.vstack(rows)
-    _validate_matrix(bits, n_rows, r, v)
-    return Codebook(n, bits)
+    return np.vstack(rows)
 
 
 def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:

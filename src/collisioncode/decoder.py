@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _classes
-from ._subsets import POPCOUNT8, split_rows
+from ._subsets import split_rows
 from .channel import demodulate, superpose
 from .codebook import Codebook, SizeLimitError
 
@@ -85,7 +85,7 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
 def _correlation(cb: Codebook, bits: np.ndarray) -> np.ndarray:
     """Ones shared by bits and each station's codeword."""
     # the padding row of an even-n codebook belongs to no station
-    return POPCOUNT8[cb.packed[:cb.n_stations] & np.packbits(bits)].sum(
+    return np.bitwise_count(cb.packed[:cb.n_stations] & np.packbits(bits)).sum(
         axis=1, dtype=np.int64)
 
 

@@ -86,6 +86,53 @@ class TestSuperpose:
         assert payload["bits"] == "110"
 
 
+class TestSuperposeBytes:
+    """stdout equals json.dumps of the profile, byte for byte."""
+
+    @staticmethod
+    def stdout(capsys, tmp_path, n, stations, *extra):
+        path = tmp_path / f"cb{n}.txt"
+        if not path.exists():
+            path.write_text(cc.serialize_codebook(cached_codebook(n)))
+        code, out, _ = run(capsys, [
+            "superpose", "--codebook", str(path),
+            "--stations", ",".join(map(str, stations)) or "none", *extra])
+        assert code == 0
+        return out
+
+    @staticmethod
+    def subsets(n):
+        """Every subset at n=5; silence and 8 seeded subsets otherwise."""
+        if n == 5:
+            return [[i + 1 for i in range(n) if mask >> i & 1]
+                    for mask in range(1 << n)]
+        rng = np.random.default_rng(n)
+        return [[], *(sorted(rng.choice(np.arange(1, n + 1), int(k),
+                                        replace=False).tolist())
+                      for k in rng.integers(1, n + 1, 8))]
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_ideal(self, capsys, tmp_path, n):
+        cb = cached_codebook(n)
+        for stations in self.subsets(n):
+            profile = cc.superpose(cb, stations)
+            assert self.stdout(capsys, tmp_path, n, stations) == json.dumps({
+                "stations": stations, "v": cb.v_length,
+                "sums": profile.sums.tolist(),
+                "bits": cc.bits_to_str(cc.demodulate(profile))}) + "\n"
+
+    def test_noisy(self, capsys, tmp_path):
+        cb = cached_codebook(5)
+        for stations in self.subsets(5):
+            profile = cc.superpose_noisy(cb, stations, 0.7, 5)
+            out = self.stdout(capsys, tmp_path, 5, stations,
+                              "--sigma", "0.7", "--seed", "5")
+            assert out == json.dumps({
+                "stations": stations, "v": cb.v_length, "sigma": 0.7,
+                "seed": 5, "samples": profile.samples.tolist(),
+                "bits": cc.bits_to_str(cc.threshold_noisy(profile))}) + "\n"
+
+
 class TestDecode:
     def test_identified(self, capsys, cb3_path):
         code, out, _ = run(capsys, ["decode", "--codebook", cb3_path,

@@ -1,15 +1,44 @@
 """Codebook construction, matrix invariants, and the text format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
+from collisioncode import codebook
 from collisioncode.codebook import _column_dtype, _validate_matrix
 from conftest import cached_codebook
 import oracles
+
+LOW_WEIGHT_DOC = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n010\n101\n011\n"
+DUPLICATE_COLUMN_DOC = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n111\n001\n"
+V_MISMATCH_DOC = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=4\n110\n101\n011\n"
+ROWS_MISMATCH_DOC = "COLLISIONCODE v1 N=4 ROWS=4 R=2 V=6\n" + "\n".join(
+    ["110100", "101010", "011001", "000111"]) + "\n"
+MALFORMED_DOCS = {
+    "COLLISION v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011\n":
+        "bad header line: 'COLLISION v1 N=3 ROWS=3 R=2 V=3'",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3 \n110\n101\n011\n":
+        "bad header line: 'COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3 '",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011":
+        "document must end with a newline",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n":
+        "expected 3 row lines, got 2",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011\n\n":
+        "expected 3 row lines, got 4",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n1001\n011\n":
+        "row 2 has length 4, expected 3",
+    "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n1x1\n011\n":
+        "invalid bit character 'x'",
+}
+
+
+def oversized_doc():
+    n = cc.MAX_STATIONS + 2
+    return f"COLLISIONCODE v1 N={n} ROWS={n} R={(n + 1) // 2} V=1\n1\n"
 
 
 def rows_as_strings(cb):
@@ -112,6 +141,14 @@ class TestTextFormat:
         doc = cc.serialize_codebook(cached_codebook(1))
         assert doc == "COLLISIONCODE v1 N=1 ROWS=1 R=1 V=1\n1\n"
 
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_serialize_is_header_then_row_strings(self, n):
+        cb = cached_codebook(n)
+        header = (f"COLLISIONCODE v1 N={n} ROWS={cb.n_rows} "
+                  f"R={cb.r_weight} V={cb.v_length}")
+        assert cc.serialize_codebook(cb) == "\n".join(
+            [header, *rows_as_strings(cb)]) + "\n"
+
     @given(st.integers(1, 8))
     @settings(max_examples=30)
     def test_round_trip(self, n):
@@ -123,10 +160,9 @@ class TestTextFormat:
         assert cc.serialize_codebook(cc.parse_codebook(doc)) == doc
 
     def test_rejects_low_weight_column(self):
-        doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n010\n101\n011\n"
         with pytest.raises(cc.InvariantError,
                            match=r"^column 1 has weight 1, expected 2$"):
-            cc.parse_codebook(doc)
+            cc.parse_codebook(LOW_WEIGHT_DOC)
 
     @pytest.mark.parametrize("columns, message", [
         (["110"], r"^duplicate rows$"),
@@ -153,10 +189,9 @@ class TestTextFormat:
         assert cc.serialize_codebook(cb) == doc
 
     def test_rejects_duplicate_column(self):
-        doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n111\n001\n"
         with pytest.raises(cc.InvariantError,
                            match=r"^duplicate column \(first at index 1\)$"):
-            cc.parse_codebook(doc)
+            cc.parse_codebook(DUPLICATE_COLUMN_DOC)
 
     def test_duplicate_column_message_names_first_copy(self):
         # column 7 copied over column 4 keeps every column weight at 3
@@ -167,34 +202,22 @@ class TestTextFormat:
             cc.parse_codebook(doc)
 
     def test_rejects_header_v_mismatch(self):
-        doc = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=4\n110\n101\n011\n"
         with pytest.raises(cc.InvariantError, match="V=4"):
-            cc.parse_codebook(doc)
+            cc.parse_codebook(V_MISMATCH_DOC)
 
     def test_rejects_header_rows_mismatch(self):
-        doc = "COLLISIONCODE v1 N=4 ROWS=4 R=2 V=6\n" + "\n".join(
-            ["110100", "101010", "011001", "000111"]) + "\n"
         with pytest.raises(cc.InvariantError, match="ROWS"):
-            cc.parse_codebook(doc)
+            cc.parse_codebook(ROWS_MISMATCH_DOC)
 
-    @pytest.mark.parametrize("doc", [
-        "COLLISION v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011\n",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3 \n110\n101\n011\n",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011\n\n",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n1001\n011\n",
-        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n1x1\n011\n",
-    ])
+    @pytest.mark.parametrize("doc", list(MALFORMED_DOCS))
     def test_rejects_malformed_documents(self, doc):
-        with pytest.raises(cc.FormatError):
+        with pytest.raises(cc.FormatError,
+                           match=f"^{re.escape(MALFORMED_DOCS[doc])}$"):
             cc.parse_codebook(doc)
 
     def test_rejects_oversized_header(self):
-        n = cc.MAX_STATIONS + 2
-        doc = f"COLLISIONCODE v1 N={n} ROWS={n} R={(n + 1) // 2} V=1\n1\n"
         with pytest.raises(cc.SizeLimitError):
-            cc.parse_codebook(doc)
+            cc.parse_codebook(oversized_doc())
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=50)
@@ -208,6 +231,54 @@ class TestTextFormat:
         lines[row] = line[:col] + ("1" if line[col] == "0" else "0") + line[col + 1:]
         with pytest.raises(cc.InvariantError):
             cc.parse_codebook("\n".join(lines) + "\n")
+
+
+class TestParsePaths:
+    """The byte-image parse against the per-line loop it falls back to."""
+
+    @staticmethod
+    def outcome(doc):
+        try:
+            cb = cc.parse_codebook(doc)
+        except (cc.FormatError, cc.InvariantError, cc.SizeLimitError) as exc:
+            return type(exc), str(exc)
+        return cb.n_stations, cb.matrix().shape, cb.matrix().tobytes()
+
+    @staticmethod
+    def documents():
+        docs = [LOW_WEIGHT_DOC, DUPLICATE_COLUMN_DOC, V_MISMATCH_DOC,
+                ROWS_MISMATCH_DOC, oversized_doc(), *MALFORMED_DOCS]
+        for n in range(1, 6):
+            doc = cc.serialize_codebook(cached_codebook(n))
+            lines = doc[:-1].split("\n")
+            docs += [doc, doc[:-1]]
+            for pos, char in enumerate(doc):
+                if char in "01":
+                    docs.append(doc[:pos] + "10"[int(char)] + doc[pos + 1:])
+                docs += [doc[:pos] + sub + doc[pos + 1:]
+                         for sub in ("2", " ", "\r", "\n", "\u00e9")
+                         if sub != char]
+            for i in range(1, len(lines)):
+                docs.append("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+                docs.append("\n".join(lines[:i + 1] + lines[i:]) + "\n")
+        return list(dict.fromkeys(docs))
+
+    def test_byte_image_agrees_with_line_loop(self, monkeypatch):
+        docs = self.documents()
+        fast = [self.outcome(doc) for doc in docs]
+        kinds = {o[0] if isinstance(o[0], type) else "accepted" for o in fast}
+        assert kinds == {cc.FormatError, cc.InvariantError,
+                         cc.SizeLimitError, "accepted"}
+        monkeypatch.setattr(codebook, "_image_bits", lambda *args: None)
+        for doc, expected in zip(docs, fast):
+            assert self.outcome(doc) == expected, repr(doc)
+
+    def test_valid_document_skips_line_loop(self, monkeypatch):
+        def line_loop(*args):
+            raise AssertionError("per-line loop reached")
+        monkeypatch.setattr(codebook, "_line_bits", line_loop)
+        cb = cached_codebook(9)
+        assert cc.parse_codebook(cc.serialize_codebook(cb)) == cb
 
 
 class TestColumnDtype:

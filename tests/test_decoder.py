@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
 from collisioncode import decoder
-from collisioncode._subsets import POPCOUNT8, demod_blocks, mask_to_ids
+from collisioncode._subsets import demod_blocks, mask_to_ids
 from conftest import cached_codebook, load_golden
 import oracles
 
@@ -45,7 +45,7 @@ def scan_nearest(cb, received, max_dist: int) -> cc.DecodeOutcome:
     sentinel = cb.v_length + 1
     best, best_mask, ties = sentinel, 0, 0
     for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
-        dists = POPCOUNT8[packed ^ target].sum(axis=1, dtype=np.int64)
+        dists = np.bitwise_count(packed ^ target).sum(axis=1, dtype=np.int64)
         dists[masks == 0] = sentinel
         block_min = int(dists.min())
         if block_min < best:
