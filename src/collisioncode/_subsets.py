@@ -43,6 +43,20 @@ def ids_to_mask(ids) -> int:
     return mask
 
 
+def partial_counts(rows: np.ndarray) -> np.ndarray:
+    """Column counts of every subset of a few int8 0/1 rows.
+
+    table[mask, c] is the number of one-bits at column c over the rows
+    whose bit is set in mask (bit i for rows[i]). Each entry is one
+    earlier entry plus one row, found by clearing the mask's lowest bit.
+    """
+    table = np.zeros((1 << len(rows), rows.shape[1]), np.int8)
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        np.add(table[mask ^ low], rows[low.bit_length() - 1], out=table[mask])
+    return table
+
+
 def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
                  hi_range: tuple[int, int] | None = None):
     """Yield (masks, counts, sizes) covering every subset of the first m rows.
@@ -59,10 +73,7 @@ def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
     n_hi = m - n_lo
     rows = matrix[:m].astype(np.int8)  # counts stay below 127 for any supported size
     size_lo = 1 << n_lo
-    lo_counts = np.zeros((size_lo, v), np.int8)
-    for mask in range(1, size_lo):
-        low = mask & -mask
-        lo_counts[mask] = lo_counts[mask ^ low] + rows[low.bit_length() - 1]
+    lo_counts = partial_counts(rows[:n_lo])
     lo_pop = np.array([mask.bit_count() for mask in range(size_lo)], np.int8)
     lo_idx = np.arange(size_lo, dtype=np.int64)
 

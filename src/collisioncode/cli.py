@@ -21,8 +21,10 @@ from .codebook import (FormatError, InvariantError, SizeLimitError,
 def _load_codebook(path: str):
     if path == "-":
         return parse_codebook(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_codebook(fh.read())
+    # bytes, not text mode, so CR bytes reach the parser instead of being
+    # folded into newlines
+    with open(path, "rb") as fh:
+        return parse_codebook(fh.read().decode("ascii"))
 
 
 def _parse_stations(text: str) -> frozenset[int]:

@@ -242,11 +242,14 @@ def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
         raise InvariantError(
             f"column {int(bad[0]) + 1} has weight {int(col_weights[bad[0]])}, "
             f"expected {r}")
-    order = np.argsort(vals, kind="stable")
-    ties = np.flatnonzero(np.diff(vals[order]) == 0)
-    if ties.size:
-        raise InvariantError(
-            f"duplicate column (first at index {int(order[ties[0]]) + 1})")
+    # strictly descending values, as every built or serialized codebook
+    # has, are distinct; only other orders pay for the sort
+    if not (vals[:-1] > vals[1:]).all():
+        order = np.argsort(vals, kind="stable")
+        ties = np.flatnonzero(np.diff(vals[order]) == 0)
+        if ties.size:
+            raise InvariantError(
+                f"duplicate column (first at index {int(order[ties[0]]) + 1})")
     # C(n_rows, r) distinct columns of weight r are every weight-r pattern,
     # so any two rows differ (some pattern holds one and not the other) and
     # each row holds a one in the C(n_rows-1, r-1) patterns through it;

@@ -55,6 +55,17 @@ class TestEncode:
                                     "--station", "9"])
         assert code == 2 and "error" in err
 
+    def test_crlf_codebook_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(CB3_DOC.replace("\n", "\r\n").encode("ascii"))
+        code, out, err = run(capsys, ["encode", "--codebook", str(path),
+                                      "--station", "1"])
+        with pytest.raises(cc.FormatError) as exc:
+            cc.parse_codebook(path.read_bytes().decode("ascii"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {exc.value}\n"
+        assert "bad header line" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["encode", "--codebook",
                                     str(tmp_path / "nope.txt"), "--station", "1"])

@@ -201,6 +201,29 @@ class TestTextFormat:
                            match=r"^duplicate column \(first at index 4\)$"):
             cc.parse_codebook(doc)
 
+    @pytest.mark.parametrize("cols,error", [
+        (list(range(10)), None),
+        ([0, 2, 1] + list(range(3, 10)), None),  # columns 2 and 3 swapped
+        ([0, 1, 2, 6, 4, 5, 6, 7, 8, 9],  # column 7 copied over column 4
+         r"^duplicate column \(first at index 4\)$"),
+        ([0, 1, 1, 3, 4, 5, 6, 7, 8, 9],  # column 2 copied over column 3
+         r"^duplicate column \(first at index 2\)$"),
+    ])
+    def test_columns_sorted_only_off_descending_order(self, cols, error,
+                                                      monkeypatch):
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+        rows = ["".join(row[c] for c in cols) for row in oracles.matrix_rows(5)]
+        doc = "COLLISIONCODE v1 N=5 ROWS=5 R=3 V=10\n" + "\n".join(rows) + "\n"
+        if error:
+            with pytest.raises(cc.InvariantError, match=error):
+                cc.parse_codebook(doc)
+        else:
+            assert cc.serialize_codebook(cc.parse_codebook(doc)) == doc
+        assert len(sorts) == (cols != list(range(10)))
+
     def test_rejects_header_v_mismatch(self):
         with pytest.raises(cc.InvariantError, match="V=4"):
             cc.parse_codebook(V_MISMATCH_DOC)

@@ -1,6 +1,8 @@
 """Chip-sum operations and the exhaustive code checks."""
 
-from itertools import combinations
+import subprocess
+import sys
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
 from collisioncode import verifier
-from collisioncode._subsets import demod_blocks, ids_to_mask, mask_to_ids
+from collisioncode._subsets import (DEFAULT_LO_BITS, demod_blocks, ids_to_mask,
+                                   mask_to_ids, partial_counts)
 from conftest import cached_codebook
 import oracles
 
@@ -28,6 +31,14 @@ def codebook_from_rows(rows):
     """Codebook built directly, since parse_codebook rejects broken matrices."""
     bits = np.array([[int(c) for c in row] for row in rows], np.uint8)
     return cc.Codebook(len(rows), bits)
+
+
+def small_blocks(monkeypatch, kernel_bytes, draw_trials):
+    """Shrink the additivity kernel's column, trial and draw blocks."""
+    if kernel_bytes:
+        monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+    if draw_trials:
+        monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
 
 
 def brute_force_uniqueness(rows):
@@ -183,6 +194,103 @@ class TestAdditivity:
         with pytest.raises(ValueError):
             cc.check_additivity(cached_codebook(3), 0, 1)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_draws_match_oracle(self, n):
+        m = cached_codebook(n).n_rows
+        forced = 0
+        for seed, trials in [(0, 300), (1, 7), (2, 1), (3, 120), (4, 64),
+                             (5, 5000)]:
+            masks = verifier._trial_masks(np.random.default_rng(seed), trials, m)
+            assert masks.shape == (trials, 6)
+            draws = list(oracles.additivity_draws(m, trials, seed))
+            for row, (g1, g2, inner, outer, was_forced) in zip(masks.tolist(), draws):
+                ids = [mask_to_ids(mask) for mask in row]
+                assert (ids[0], ids[1], ids[3], ids[5]) == (g1, g2, inner, outer)
+                assert ids[2] == tuple(sorted(g1 + g2))
+                assert ids[4] == tuple(sorted(set(outer) - set(inner)))
+                assert ids[4]  # the nesting is strict
+                forced += was_forced
+        assert forced  # some trials drew an empty outer-only part
+
+    @pytest.mark.parametrize("trials", [1, 3, 20, 1000, 10 ** 6])
+    def test_row_chunks_tile_the_rows(self, trials):
+        for m in range(1, 26):
+            chunks = verifier._row_chunks(m, trials)
+            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+            assert chunks[-1][1] == m
+            assert all(1 <= b - a <= DEFAULT_LO_BITS for a, b in chunks)
+
+    @pytest.mark.parametrize("n,trials,seed", [(1, 30, 0), (2, 40, 1),
+                                               (5, 60, 2), (8, 25, 3),
+                                               (9, 43, 4)])
+    @pytest.mark.parametrize("kernel_bytes,draw_trials", [
+        (None, None), (1 << 9, None), (1 << 9, 7)])
+    def test_report_matches_oracle(self, n, trials, seed, kernel_bytes,
+                                   draw_trials, monkeypatch):
+        small_blocks(monkeypatch, kernel_bytes, draw_trials)
+        cb = cached_codebook(n)
+        drawn = []
+        original = verifier._trial_masks
+        monkeypatch.setattr(verifier, "_trial_masks",
+                            lambda rng, k, m: drawn.append(k) or original(rng, k, m))
+        report = cc.check_additivity(cb, trials, seed)
+        assert sum(drawn) == trials
+        ok, counterexample = oracles.additivity_report(
+            oracles.matrix_rows(cb.n_rows), trials, seed)
+        assert (report.ok, report.counterexample) == (ok, counterexample)
+        assert (report.trials, report.seed) == (trials, seed)
+
+    @pytest.mark.parametrize("n,trials,seed,kernel_bytes,draw_trials,blocks", [
+        (3, 40, 0, None, None, (0,)), (7, 100, 3, None, None, (0,)),
+        (9, 1000, 2, None, None, (0,)), (9, 300, 5, 1 << 9, None, (0,)),
+        (9, 300, 6, 1 << 9, None, (2,)), (7, 50, 7, 1 << 8, None, (3,)),
+        (9, 300, 8, 1 << 9, None, (-1,)), (9, 300, 9, 1 << 9, None, (1, -1)),
+        (7, 300, 10, None, 5, (0,)), (9, 300, 11, 1 << 9, 6, (2, -1)),
+        # in these two the first failing trial is in the fourth or fifth draw
+        (7, 300, 21, None, 2, (0,)), (9, 300, 57, 1 << 9, 2, (1, -1)),
+        # in these two the difference law is the first to fail
+        (5, 60, 1, None, None, (0,)), (9, 60, 1, 1 << 9, 9, (1, -1))])
+    def test_corrupted_counts_are_reported(self, n, trials, seed, kernel_bytes,
+                                           draw_trials, blocks, monkeypatch):
+        """The first-chunk table of some column blocks counts one extra one
+        for row 1 alone at its middle column. So does the oracle, for every
+        subset whose first-chunk part is exactly row 1."""
+        small_blocks(monkeypatch, kernel_bytes, draw_trials)
+        cb = cached_codebook(n)
+        chunks = verifier._row_chunks(cb.n_rows,
+                                      min(trials, verifier._DRAW_TRIALS))
+        original = verifier.partial_counts
+        calls = []
+        monkeypatch.setattr(verifier, "partial_counts",
+                            lambda rows: calls.append(rows) or original(rows))
+        cc.check_additivity(cb, trials, seed)
+        widths = [rows.shape[1] for rows in calls[::len(chunks)]]
+        n_blocks = list(accumulate(widths)).index(cb.v_length) + 1
+        # every block of trials tiles the matrix with the same column blocks
+        assert widths == widths[:n_blocks] * (len(widths) // n_blocks)
+        widths = widths[:n_blocks]
+        targets = {b % n_blocks for b in blocks}
+        corrupted = {sum(widths[:b]) + widths[b] // 2 + 1 for b in targets}
+
+        def partial_counts(rows):
+            table = original(rows)
+            block, chunk = divmod(len(calls), len(chunks))
+            if chunk == 0 and block % n_blocks in targets:
+                table[1, len(table[0]) // 2] += 1
+            calls.append(rows)
+            return table
+
+        calls.clear()
+        monkeypatch.setattr(verifier, "partial_counts", partial_counts)
+        report = cc.check_additivity(cb, trials, seed)
+        first_chunk = (1 << chunks[0][1]) - 1
+        ok, expected = oracles.additivity_report(
+            oracles.matrix_rows(cb.n_rows), trials, seed,
+            lambda subset, col: int(col in corrupted and
+                                    ids_to_mask(subset) & first_chunk == 1))
+        assert not ok and not report.ok
+        assert report.counterexample == expected
+
 
 class TestUniqueness:
     @pytest.mark.parametrize("n,expected", [(3, 7), (1, 1), (5, 31)])
@@ -229,7 +337,8 @@ class TestUniqueness:
     def test_report_survives_every_hash_tying(self, rows, monkeypatch):
         cb = codebook_from_rows(rows)
         expected = cc.verify_uniqueness(cb)
-        monkeypatch.setattr(verifier, "hash", lambda key: 0, raising=False)
+        monkeypatch.setattr(verifier, "_block_keys",
+                            lambda packed, mults: np.zeros(len(packed), np.int64))
         report = cc.verify_uniqueness(cb, workers=3)
         assert report.collisions == expected.collisions
         assert report.distinct_vectors == expected.distinct_vectors
@@ -249,8 +358,52 @@ class TestNoZeroVector:
         with pytest.raises(cc.SizeLimitError):
             cc.verify_no_zero_vector(cached_codebook(17))
 
+    @pytest.mark.parametrize("rows,expected", [
+        (oracles.matrix_rows(5), True),
+        (corrupted_rows(5, 1, 4), True),
+        (["11100", "00011", "10101"], False),  # rows 1 and 2 share no one
+        (oracles.matrix_rows(5)[:2] + ["0" * 10] + oracles.matrix_rows(5)[3:],
+         False),  # row 3 alone demodulates to zeros
+        (["0"], False),
+        (["1100", "0011", "1010", "0101", "1001"], False),
+    ])
+    def test_matches_brute_force(self, rows, expected):
+        zero = "0" * len(rows[0])
+        assert expected == all(oracles.demod(rows, subset) != zero
+                               for subset in oracles.nonempty_subsets(len(rows)))
+        assert cc.verify_no_zero_vector(codebook_from_rows(rows)) == expected
+
+
+def test_import_leaves_numpy_random_unloaded():
+    code = "import sys, collisioncode; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
 
 class TestEnumerationEngine:
+    @pytest.mark.parametrize("k", range(6))
+    def test_partial_counts_match_row_sums(self, k):
+        rows = np.random.default_rng(k).integers(0, 2, (k, 13)).astype(np.int8)
+        table = partial_counts(rows)
+        assert table.shape == (1 << k, 13) and table.dtype == np.int8
+        for mask in range(1 << k):
+            ids = [i - 1 for i in mask_to_ids(mask)]
+            assert table[mask].tolist() == rows[ids].sum(axis=0).tolist()
+
+    def test_block_keys_tie_on_equal_rows(self):
+        rng = np.random.default_rng(3)
+        for width in (1, 7, 8, 9, 805):
+            packed = rng.integers(0, 256, (6, width), np.uint8)
+            packed[4] = packed[1]
+            packed[5] = packed[0]
+            packed[5, -1] ^= 0x80  # one bit apart from row 0
+            mults = verifier._key_multipliers(8 * width)
+            keys = verifier._block_keys(packed, mults)
+            assert keys.dtype == np.int64
+            assert keys[4] == keys[1] and keys[5] != keys[0]
+            assert (verifier._block_keys(packed[[1]], mults) == keys[1]).all()
+
     def test_blocks_match_oracle_for_five_rows(self):
         cb = cached_codebook(5)
         rows = oracles.matrix_rows(5)
