@@ -8,6 +8,11 @@ then costs a single vectorized add.
 
 Subset masks use bit i for row i+1. Yielded count buffers are reused
 between iterations; copy them if they must outlive the loop body.
+
+The verifier no longer walks these generators: it gathers counts from
+`partial_counts` tables a tile of columns at a time. `demod_blocks` and
+`count_blocks` remain the full-width enumeration that tests use as a
+reference and that perfbench's subset-throughput metrics time.
 """
 
 import numpy as np
@@ -47,25 +52,22 @@ def partial_counts(rows: np.ndarray) -> np.ndarray:
     """Column counts of every subset of a few int8 0/1 rows.
 
     table[mask, c] is the number of one-bits at column c over the rows
-    whose bit is set in mask (bit i for rows[i]). Each entry is one
-    earlier entry plus one row, found by clearing the mask's lowest bit.
+    whose bit is set in mask (bit i for rows[i]). The masks with highest
+    bit i are those below 2^i plus rows[i], so the table doubles once per
+    row.
     """
     table = np.zeros((1 << len(rows), rows.shape[1]), np.int8)
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        np.add(table[mask ^ low], rows[low.bit_length() - 1], out=table[mask])
+    for i, row in enumerate(rows):
+        np.add(table[:1 << i], row, out=table[1 << i:2 << i])
     return table
 
 
-def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
-                 hi_range: tuple[int, int] | None = None):
+def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
     """Yield (masks, counts, sizes) covering every subset of the first m rows.
 
     counts[i, c] is the number of one-bits at column c over the rows in
     subset masks[i]; sizes[i] is the subset cardinality. The empty mask 0
-    is included (callers usually skip it). hi_range restricts the walk to
-    a sub-range of high-block Gray indices, which is how parallel workers
-    partition the subset space.
+    is included (callers usually skip it).
     """
     v = matrix.shape[1]
     if n_lo is None:
@@ -77,13 +79,11 @@ def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
     lo_pop = np.array([mask.bit_count() for mask in range(size_lo)], np.int8)
     lo_idx = np.arange(size_lo, dtype=np.int64)
 
-    start, stop = hi_range if hi_range is not None else (0, 1 << n_hi)
-    gray = start ^ (start >> 1)
-    cur = rows[[n_lo + b for b in range(n_hi) if gray >> b & 1]].sum(
-        axis=0, dtype=np.int8)
+    gray = 0
+    cur = np.zeros(v, np.int8)
     counts = np.empty_like(lo_counts)
-    for j in range(start, stop):
-        if j != start:
+    for j in range(1 << n_hi):
+        if j:
             prev, gray = gray, j ^ (j >> 1)
             b = (prev ^ gray).bit_length() - 1
             if gray >> b & 1:
@@ -95,14 +95,13 @@ def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
         yield (gray << n_lo) | lo_idx, counts, sizes
 
 
-def demod_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None,
-                 hi_range: tuple[int, int] | None = None):
+def demod_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
     """Yield (masks, packed) where packed[i] is the majority-demodulated
     superposition of subset masks[i], packed 8 chips per byte, MSB first.
 
     A chip demodulates to 1 exactly when the subset holds strictly more
     ones than zeros at that column, i.e. count >= floor(size/2) + 1.
     """
-    for masks, counts, sizes in count_blocks(matrix, m, n_lo, hi_range):
+    for masks, counts, sizes in count_blocks(matrix, m, n_lo):
         bits = counts >= (sizes // 2 + 1)[:, None]
         yield masks, np.packbits(bits, axis=1)

@@ -11,21 +11,29 @@ rather than by trust, the facts the decoder relies on:
 * distinct non-empty subsets demodulate to distinct vectors;
 * no non-empty subset demodulates to the all-zero vector.
 
+Every check counts a subset's ones at a column by gathering from
+`partial_counts` tables, which hold the counts of every subset of a small
+chunk of rows: a subset's counts are the sum of one table row per chunk.
 The additivity identities are checked on seeded random trials; the other
-three facts by enumerating every row subset in blocks (`_subsets`):
+three facts by enumerating every row subset:
 
 * `check_additivity` draws blocks of trials as subset masks, gathers
-  each subset's column counts from `partial_counts` tables over a few
-  chunks of rows, a block of columns at a time, and tests both
-  identities as sums of counts at every column;
-* `sweep_witnesses` looks for the witness count in each `count_blocks`
-  block;
-* `verify_uniqueness` keys each packed `demod_blocks` vector with one
-  vectorized multiply-sum per block and re-demodulates only the subsets
-  whose keys tie;
-* `verify_no_zero_vector` reads the all-zero case off `count_blocks`: a
-  subset demodulates to all zeros exactly when no column count reaches
-  its majority.
+  their counts a block of columns at a time, and tests both identities
+  as sums of counts at every column;
+* the three enumerations visit the columns in tiles of 64, spread over
+  the whole codeword (`_column_tiles`), and count a tile only for the
+  subsets that the earlier tiles left unresolved. On the canonical codes
+  of up to 15 stations the first tile resolves all but at most four
+  subsets, and the second the rest;
+* `sweep_witnesses` drops a subset once a tile holds its witness count;
+  the subsets no tile drops are the failures;
+* `verify_no_zero_vector` drops a subset once a tile holds a column
+  count that reaches its majority; a subset that survives every tile
+  demodulates to all zeros;
+* `verify_uniqueness` refines an exact partition of the subsets: each
+  tile packs a subset's demodulated bits into one uint64 word, groups
+  split on it and singletons leave. The groups left after the last tile
+  are the collisions. Nothing is hashed, so no tie is ever re-checked.
 
 Enumeration budgets keep the 2^rows scans at desk scale and can be raised
 per call; the additivity trials need no row budget.
@@ -33,18 +41,17 @@ per call; the additivity trials need no row budget.
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._subsets import (DEFAULT_LO_BITS, count_blocks, demod_blocks, mask_to_ids,
-                       partial_counts, split_rows)
+from ._subsets import DEFAULT_LO_BITS, mask_to_ids, partial_counts
 from .codebook import Codebook, SizeLimitError, bits_to_str
 
 UNIQUENESS_BUDGET_ROWS = 15
 WITNESS_SWEEP_BUDGET_ROWS = 11
-_KERNEL_BYTES = 1 << 20  # tables, or gathered counts, of one additivity block
+_KERNEL_BYTES = 1 << 20  # tables, or gathered counts, of one kernel block
+_TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
 _DRAW_TRIALS = 1 << 12  # additivity trials drawn and checked at once
 
 
@@ -188,29 +195,158 @@ def find_zero_sum_column(cb: Codebook, rows) -> WitnessReport:
     return _find_witness(cb, rows, 0)
 
 
+def _row_chunks(m: int, gathers: int) -> list[tuple[int, int]]:
+    """Row ranges of the partial-count tables for `gathers` subsets.
+
+    Per column, k balanced chunks cost their table rows (sum of 2^size)
+    plus one gathered row per chunk for each subset; take the cheapest k
+    whose chunks hold at most DEFAULT_LO_BITS rows.
+    """
+    def sizes(k: int) -> list[int]:
+        return [m // k + (i < m % k) for i in range(k)]
+
+    best = min(range(-(-m // DEFAULT_LO_BITS), m + 1),
+               key=lambda k: sum(1 << s for s in sizes(k)) + gathers * k)
+    stops = itertools.accumulate(sizes(best))
+    return [(stop - size, stop) for size, stop in zip(sizes(best), stops)]
+
+
+def _column_tiles(v: int) -> list[np.ndarray]:
+    """0-based columns of each of the ceil(v / 64) tiles of a v-column matrix.
+
+    With T tiles, tile t holds columns t, t + T, t + 2T, ..., so each tile
+    samples the whole codeword and every column is in exactly one tile.
+    """
+    n_tiles = -(-v // _TILE_COLUMNS)
+    return [np.arange(t, v, n_tiles) for t in range(n_tiles)]
+
+
+def _gather_counts(tables: list[np.ndarray], chunks: list[tuple[int, int]],
+                   masks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the int8 column counts of the subsets `masks` into `out`.
+
+    Per row chunk (a, b), the mask's bits a..b-1 select a row of that
+    chunk's `partial_counts` table (always in range, so "clip" never
+    clips), and a subset's counts are the sum of its rows. `out` and
+    `scratch` have shape masks.shape + (width,). Callers reuse them block
+    after block: fresh megabyte arrays are handed back to the system when
+    freed and page-faulted in again, which costs more than the gather.
+    """
+    (a, b), *rest = chunks
+    np.take(tables[0], masks >> a & ((1 << (b - a)) - 1), axis=0, out=out,
+            mode="clip")
+    for table, (a, b) in zip(tables[1:], rest):
+        np.take(table, masks >> a & ((1 << (b - a)) - 1), axis=0, out=scratch,
+                mode="clip")
+        out += scratch
+
+
+def _tile_counts(matrix: np.ndarray, cols: np.ndarray, live: np.ndarray):
+    """Yield (sl, ones, sizes): column counts at `cols` of the subsets
+    live[sl], and their sizes as an int8 column, a slice at a time so that
+    each block of counts stays within _KERNEL_BYTES. The counts buffer is
+    reused between iterations."""
+    chunks = _row_chunks(len(matrix), len(live))
+    block = matrix[:, cols].astype(np.int8)
+    tables = [partial_counts(block[a:b]) for a, b in chunks]
+    step = max(1, min(len(live), _KERNEL_BYTES // len(cols)))
+    shape = (step, len(cols))
+    ones, scratch = np.empty(shape, np.int8), np.empty(shape, np.int8)
+    for lo in range(0, len(live), step):
+        masks = live[lo:lo + step]
+        k = len(masks)
+        _gather_counts(tables, chunks, masks, ones[:k], scratch[:k])
+        sizes = np.bitwise_count(masks).astype(np.int8)[:, None]
+        yield slice(lo, lo + k), ones[:k], sizes
+
+
+def _unsettled(matrix: np.ndarray, live: np.ndarray, settles) -> np.ndarray:
+    """The subset masks of `live` that no column of `matrix` settles.
+
+    settles(ones, sizes) marks the subsets whose counts on one tile settle
+    them. Tiles are visited in order and each counts only the subsets that
+    every earlier tile left unsettled.
+    """
+    for cols in _column_tiles(matrix.shape[1]):
+        if not live.size:
+            break
+        keep = np.empty(len(live), bool)
+        for sl, ones, sizes in _tile_counts(matrix, cols, live):
+            keep[sl] = ~settles(ones, sizes)
+        live = live[keep]
+    return live
+
+
+def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
+    """Every group of two or more non-empty row subsets with one
+    demodulated vector, each as ascending subset masks.
+
+    An exact partition of the subsets is refined a tile at a time: each
+    subset's demodulated bits on the tile are packed into one uint64 word,
+    the subsets are sorted on (group, word), groups split where the word
+    changes, and singletons, whose vector no other subset shares, are
+    dropped. Subsets still grouped after the last tile agree on every
+    column.
+    """
+    live = np.arange(1, 1 << len(matrix))
+    group = np.zeros(len(live), np.int64)  # non-decreasing along live
+    for cols in _column_tiles(matrix.shape[1]):
+        if not live.size:
+            break
+        words = np.zeros((len(live), 8), np.uint8)
+        for sl, ones, sizes in _tile_counts(matrix, cols, live):
+            words[sl, :-(-len(cols) // 8)] = np.packbits(ones > sizes // 2, axis=1)
+        words = words.view(np.uint64).ravel()
+        lead = np.empty(len(live), bool)  # first subset of its group
+        lead[0] = True
+        np.not_equal(group[1:], group[:-1], out=lead[1:])
+        if (words == words[lead][np.cumsum(lead) - 1]).all():
+            continue  # no group splits on this tile
+        order = np.lexsort((words, group))  # keeps every group in place
+        live, words = live[order], words[order]
+        lead[1:] |= words[1:] != words[:-1]
+        group = np.cumsum(lead)
+        shared = np.bincount(group)[group] > 1
+        live, group = live[shared], group[shared]
+    live = live[np.lexsort((live, group))].tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(live)]
+    return [live[a:b] for a, b in zip(bounds, bounds[1:]) if b - a > 1]
+
+
+def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
+    """The demodulated vector of each subset in `masks`, as a string.
+
+    Columns are taken in blocks narrow enough that the largest
+    partial-count tables stay within _KERNEL_BYTES.
+    """
+    v = matrix.shape[1]
+    width = max(1, _KERNEL_BYTES >> DEFAULT_LO_BITS)
+    blocks = []
+    for c0 in range(0, v, width):
+        cols = np.arange(c0, min(c0 + width, v))
+        text = "".join(bits_to_str(ones > sizes // 2)
+                       for _, ones, sizes in _tile_counts(matrix, cols, masks))
+        blocks.append([text[i:i + len(cols)] for i in range(0, len(text), len(cols))])
+    return ["".join(parts) for parts in zip(*blocks)]
+
+
 def sweep_witnesses(cb: Codebook,
                     max_rows: int = WITNESS_SWEEP_BUDGET_ROWS) -> WitnessSweepReport:
     """Check witness existence for every proper non-empty row subset.
 
     For subset size g the witness condition (+1 for odd g, 0 for even g)
     is equivalent to some column holding exactly floor((g+1)/2) ones over
-    the subset, which one scan of the count blocks answers.
+    the subset. A subset is settled by the first tile holding such a
+    column, and the subsets that no tile settles are the failures.
     """
     m = cb.n_rows
     if m > max_rows:
         raise SizeLimitError(
             f"n_rows={m} exceeds the witness sweep budget of {max_rows}")
     t0 = time.perf_counter()
-    full = (1 << m) - 1
-    failures: list[tuple[int, ...]] = []
-    for masks, counts, sizes in count_blocks(cb.matrix(), m):
-        targets = (sizes + np.int8(1)) // 2
-        found = (counts == targets[:, None]).any(axis=1)
-        for pos in np.flatnonzero(~found):
-            mask = int(masks[pos])
-            if mask not in (0, full):
-                failures.append(mask_to_ids(mask))
-    failures.sort()
+    unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1),
+                           lambda ones, sizes: (ones == (sizes + 1) // 2).any(axis=1))
+    failures = sorted(mask_to_ids(mask) for mask in unsettled.tolist())
     return WitnessSweepReport(m, max(2 ** m - 2, 0), failures,
                               time.perf_counter() - t0)
 
@@ -239,47 +375,30 @@ def _trial_masks(rng: "np.random.Generator", trials: int, m: int) -> np.ndarray:
                     axis=1)
 
 
-def _row_chunks(m: int, trials: int) -> list[tuple[int, int]]:
-    """Row ranges of the partial-count tables for a block of trials.
-
-    Per column, k balanced chunks cost their table rows (sum of 2^size)
-    plus one gathered row per chunk for each of the 6 subsets of each
-    trial; take the cheapest k whose chunks hold at most DEFAULT_LO_BITS
-    rows.
-    """
-    def sizes(k: int) -> list[int]:
-        return [m // k + (i < m % k) for i in range(k)]
-
-    best = min(range(-(-m // DEFAULT_LO_BITS), m + 1),
-               key=lambda k: sum(1 << s for s in sizes(k)) + 6 * trials * k)
-    stops = itertools.accumulate(sizes(best))
-    return [(stop - size, stop) for size, stop in zip(sizes(best), stops)]
-
-
 def _first_failures(matrix: np.ndarray, masks: np.ndarray,
                     chunks: list[tuple[int, int]]) -> np.ndarray:
     """(trials, 2): the first 0-based column where each trial's union and
     difference identity fail, or V where they hold at every column.
 
-    The ones of every subset are the sum of one row per chunk, looked up in
-    that chunk's `partial_counts` table. Tables and gathered counts are
-    built a block of columns and trials at a time, each within
-    _KERNEL_BYTES.
+    Each subset's ones are gathered by `_gather_counts`. Tables and
+    gathered counts are built a block of columns and trials at a time,
+    each within _KERNEL_BYTES.
     """
     v = matrix.shape[1]
-    index = [masks >> a & ((1 << (b - a)) - 1) for a, b in chunks]
     width = max(1, min(v, _KERNEL_BYTES // sum(1 << (b - a) for a, b in chunks)))
     step = max(1, _KERNEL_BYTES // (6 * width))
     first = np.full((len(masks), 2), v)
     for c0 in range(0, v, width):
         block = matrix[:, c0:c0 + width].astype(np.int8)
         tables = [partial_counts(block[a:b]) for a, b in chunks]
+        shape = (min(step, len(masks)), 6, block.shape[1])
+        ones, scratch = np.empty(shape, np.int8), np.empty(shape, np.int8)
         for t0 in range(0, len(masks), step):
-            ones = tables[0][index[0][t0:t0 + step]]
-            for table, idx in zip(tables[1:], index[1:]):
-                ones += table[idx[t0:t0 + step]]
-            ones = ones.reshape(-1, 2, 3, ones.shape[-1])
-            bad = ones[:, :, 0] + ones[:, :, 1] != ones[:, :, 2]
+            part = masks[t0:t0 + step]
+            k = len(part)
+            _gather_counts(tables, chunks, part, ones[:k], scratch[:k])
+            counts = ones[:k].reshape(k, 2, 3, -1)
+            bad = counts[:, :, 0] + counts[:, :, 1] != counts[:, :, 2]
             if bad.any():
                 cols = np.where(bad.any(axis=2), c0 + bad.argmax(axis=2), v)
                 np.minimum(first[t0:t0 + step], cols, out=first[t0:t0 + step])
@@ -304,7 +423,7 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    chunks = _row_chunks(cb.n_rows, min(trials, _DRAW_TRIALS))
+    chunks = _row_chunks(cb.n_rows, 6 * min(trials, _DRAW_TRIALS))
     for t0 in range(0, trials, _DRAW_TRIALS):
         masks = _trial_masks(rng, min(_DRAW_TRIALS, trials - t0), cb.n_rows)
         first = _first_failures(cb.matrix(), masks, chunks)
@@ -319,37 +438,16 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     return AdditivityReport(trials, seed, True, None)
 
 
-def _hi_chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total))
-    step = -(-total // workers)
-    return [(a, min(a + step, total)) for a in range(0, total, step)]
-
-
-def _key_multipliers(v: int) -> np.ndarray:
-    """Fixed odd uint64 multipliers, one per 8-byte word of a packed vector."""
-    mults = np.random.default_rng(0).integers(0, 1 << 64, -(-v // 64), np.uint64)
-    return mults | np.uint64(1)
-
-
-def _block_keys(packed: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """One int64 key per packed row: its zero-padded uint64 words times
-    `mults`, summed with wraparound. Equal rows get equal keys."""
-    words = np.zeros((len(packed), len(mults)), np.uint64)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return (words * mults).sum(axis=1, dtype=np.uint64).view(np.int64)
-
-
 def verify_uniqueness(cb: Codebook, workers: int = 1,
                       max_rows: int = UNIQUENESS_BUDGET_ROWS) -> UniquenessReport:
     """Enumerate every non-empty row subset and detect vector collisions.
 
-    The collision list must come back empty for a correct codebook. Each
-    subset's packed demodulated vector gets a multiply-sum key (see
-    `_block_keys`) in one array indexed by subset mask; workers > 1 fill
-    disjoint ranges of the high row block, so nothing is merged and the
-    report is the same for any worker count. Subsets whose keys tie are
-    demodulated again and grouped by their exact vector, so a key clash
-    cannot fake or hide a collision.
+    The collision list must come back empty for a correct codebook. The
+    subsets are split into exact groups of equal demodulated vectors by
+    `_colliding_groups`, which compares whole tiles of bits, never hashes,
+    so every group it returns is a set of true collisions. `workers` is
+    validated for the CLI's sake; the refinement runs in one thread, and
+    the report is the same for any worker count.
     """
     m = cb.n_rows
     if m > max_rows:
@@ -358,48 +456,28 @@ def verify_uniqueness(cb: Codebook, workers: int = 1,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    matrix = cb.matrix()
-    n_lo = split_rows(m, cb.v_length)
-    chunks = _hi_chunks(1 << (m - n_lo), workers)
-    keys = np.empty(1 << m, np.int64)
-    mults = _key_multipliers(cb.v_length)
-
-    def fill(chunk: tuple[int, int]) -> None:
-        for masks, packed in demod_blocks(matrix, m, n_lo=n_lo, hi_range=chunk):
-            keys[masks] = _block_keys(packed, mults)
-
-    if len(chunks) == 1:
-        fill(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(fill, chunks))
-
-    order = np.argsort(keys[1:], kind="stable") + 1  # mask 0 is not a subset
-    ties = np.flatnonzero(np.diff(keys[order]) == 0)
-    groups: dict[str, list[int]] = {}
-    for mask in sorted(set(order[ties].tolist()) | set(order[ties + 1].tolist())):
-        idx = [i - 1 for i in mask_to_ids(mask)]
-        vec = bits_to_str(_sums_vector(cb, idx) >= 1)
-        groups.setdefault(vec, []).append(mask)
-    collisions = sorted(
-        (mask_to_ids(a), mask_to_ids(b), vec)
-        for vec, masks in groups.items()
-        for a, b in itertools.combinations(masks, 2))
-    distinct = 2 ** m - 1 - sum(len(masks) - 1 for masks in groups.values())
+    groups = _colliding_groups(cb.matrix())
+    leaders = np.array([masks[0] for masks in groups])
+    vectors = _demodulated(cb.matrix(), leaders) if groups else []
+    collisions = sorted((mask_to_ids(a), mask_to_ids(b), vec)
+                        for masks, vec in zip(groups, vectors)
+                        for a, b in itertools.combinations(masks, 2))
+    distinct = 2 ** m - 1 - sum(len(masks) - 1 for masks in groups)
     return UniquenessReport(m, 2 ** m - 1, distinct, collisions,
                             time.perf_counter() - t0)
 
 
 def verify_no_zero_vector(cb: Codebook,
                           max_rows: int = UNIQUENESS_BUDGET_ROWS) -> bool:
-    """True when no non-empty row subset demodulates to the all-zero vector."""
+    """True when no non-empty row subset demodulates to the all-zero vector.
+
+    A subset demodulates to all zeros exactly when no column count reaches
+    its majority size // 2 + 1, so a subset is settled by the first tile
+    holding such a column; the check fails only if one survives every tile.
+    """
     m = cb.n_rows
     if m > max_rows:
         raise SizeLimitError(
             f"n_rows={m} exceeds the uniqueness budget of {max_rows}")
-    for masks, counts, sizes in count_blocks(cb.matrix(), m):
-        # all-zero exactly when no column reaches the majority size // 2 + 1
-        zero = np.flatnonzero(counts.max(axis=1) <= sizes // 2)
-        if zero.size and (masks[zero] != 0).any():
-            return False
-    return True
+    return not _unsettled(cb.matrix(), np.arange(1, 1 << m),
+                          lambda ones, sizes: (ones > sizes // 2).any(axis=1)).size

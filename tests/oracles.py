@@ -101,3 +101,17 @@ def additivity_report(rows: list[str], trials: int, seed: int,
                 return False, {"law": "difference", "g1": list(inner),
                                "g2": list(outer), "column": c}
     return True, None
+
+
+def zero_unreachable(rows: list[str]) -> bool:
+    """No non-empty subset demodulates to the all-zero vector."""
+    zero = "0" * len(rows[0])
+    return all(demod(rows, s) != zero for s in nonempty_subsets(len(rows)))
+
+
+def witness_failures(rows: list[str]) -> list[tuple[int, ...]]:
+    """Proper non-empty subsets with no column whose chip sum is +1 (odd
+    size) or 0 (even size), in ascending order of their row tuples."""
+    cols = range(1, len(rows[0]) + 1)
+    return sorted(s for s in nonempty_subsets(len(rows)) if len(s) < len(rows)
+                  and all(chip_sum(rows, s, c) != len(s) % 2 for c in cols))

@@ -1,5 +1,6 @@
 """Chip-sum operations and the exhaustive code checks."""
 
+import functools
 import subprocess
 import sys
 from itertools import accumulate, combinations
@@ -258,7 +259,7 @@ class TestAdditivity:
         small_blocks(monkeypatch, kernel_bytes, draw_trials)
         cb = cached_codebook(n)
         chunks = verifier._row_chunks(cb.n_rows,
-                                      min(trials, verifier._DRAW_TRIALS))
+                                      6 * min(trials, verifier._DRAW_TRIALS))
         original = verifier.partial_counts
         calls = []
         monkeypatch.setattr(verifier, "partial_counts",
@@ -332,17 +333,6 @@ class TestUniqueness:
         assert report.distinct_vectors == distinct
         assert report.subsets_checked == 2 ** n_rows - 1
 
-    @pytest.mark.parametrize("rows", [oracles.matrix_rows(5),
-                                      corrupted_rows(5, 1, 4)])
-    def test_report_survives_every_hash_tying(self, rows, monkeypatch):
-        cb = codebook_from_rows(rows)
-        expected = cc.verify_uniqueness(cb)
-        monkeypatch.setattr(verifier, "_block_keys",
-                            lambda packed, mults: np.zeros(len(packed), np.int64))
-        report = cc.verify_uniqueness(cb, workers=3)
-        assert report.collisions == expected.collisions
-        assert report.distinct_vectors == expected.distinct_vectors
-
     def test_json_shape(self):
         d = cc.verify_uniqueness(cached_codebook(3)).to_json_dict()
         assert set(d) == {"n", "subsets_checked", "distinct_vectors",
@@ -374,6 +364,120 @@ class TestNoZeroVector:
         assert cc.verify_no_zero_vector(codebook_from_rows(rows)) == expected
 
 
+def random_rows(rng, m, v):
+    """m random 0/1 rows of length v, at a density drawn from 0.1..0.9."""
+    p = rng.uniform(0.1, 0.9)
+    return ["".join("1" if x < p else "0" for x in rng.random(v))
+            for _ in range(m)]
+
+
+def edited_rows(seed):
+    """A seeded random matrix of up to 11 rows, some with a duplicated,
+    all-zero or all-one row; the width covers 1, 63, 64 and 65 columns
+    (one or two tiles) and 130 or more (three or more)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 12))
+    # one column gives few distinct vectors and so millions of colliding
+    # pairs at 11 rows; many columns make the oracle slow
+    widths = [63, 64, 65] if m > 8 else [1, 63, 64, 65, 130, 200]
+    v = int(rng.choice(widths[m > 6:]))
+    rows = random_rows(rng, m, v)
+    edit = seed % 4
+    if edit == 1 and m > 1:
+        rows[int(rng.integers(m))] = rows[int(rng.integers(m))]
+    elif edit == 2:
+        rows[int(rng.integers(m))] = "0" * v
+    elif edit == 3:
+        rows[int(rng.integers(m))] = "1" * v
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def edited_case(seed):
+    """(rows, collisions, distinct, zero unreachable, witness failures)."""
+    rows = edited_rows(seed)
+    return (rows, *brute_force_uniqueness(rows), oracles.zero_unreachable(rows),
+            oracles.witness_failures(rows))
+
+
+def last_visited_column(v):
+    return int(verifier._column_tiles(v)[-1][-1])
+
+
+class TestTileRefinement:
+    """The tiled checks against pure-Python brute force."""
+
+    @pytest.mark.parametrize("v", [*range(1, 300), 462, 6435, 352716])
+    def test_column_tiles_visit_every_column_once(self, v):
+        tiles = verifier._column_tiles(v)
+        assert len(tiles) == -(-v // 64)
+        assert all(1 <= len(cols) <= 64 for cols in tiles)
+        assert sorted(np.concatenate(tiles).tolist()) == list(range(v))
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kernel_bytes", [None, 200])
+    def test_checks_match_oracle(self, seed, kernel_bytes, monkeypatch):
+        """kernel_bytes=200 splits every tile into blocks of a few subsets."""
+        if kernel_bytes:
+            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+        rows, collisions, distinct, no_zero, failures = edited_case(seed)
+        cb = codebook_from_rows(rows)
+        for workers in (1, 3):
+            report = cc.verify_uniqueness(cb, workers=workers)
+            assert report.collisions == collisions
+            assert report.distinct_vectors == distinct
+        assert cc.verify_no_zero_vector(cb) == no_zero
+        sweep = cc.sweep_witnesses(cb)
+        assert sweep.failures == failures
+        assert sweep.subsets_checked == max(2 ** len(rows) - 2, 0)
+
+    def test_edits_reach_every_outcome(self):
+        """The seeded cases include collisions, reachable zeros and
+        witness failures; duplicated rows collide and all-zero rows
+        reach the zero vector."""
+        outcomes = {edit: set() for edit in range(4)}
+        for seed in range(40):
+            _, collisions, _, no_zero, failures = edited_case(seed)
+            for name, seen in [("collision", collisions), ("zero", not no_zero),
+                               ("witness", failures)]:
+                if seen:
+                    outcomes[seed % 4].add(name)
+        assert set().union(*outcomes.values()) == {"collision", "zero", "witness"}
+        assert "collision" in outcomes[1] and "zero" in outcomes[2]
+
+    @pytest.mark.parametrize("v", [65, 130, 200, 462])
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_last_tile_decides_uniqueness(self, v, flip):
+        """Rows 1 and 2 are equal or, when flipped, differ only at the
+        last column visited, the only column that tells {1} from {2}."""
+        rng = np.random.default_rng(v)
+        rows = random_rows(rng, 6, v)
+        col = last_visited_column(v)
+        rows[1] = rows[0][:col] + str(int(flip) ^ int(rows[0][col])) + rows[0][col + 1:]
+        report = cc.verify_uniqueness(codebook_from_rows(rows), workers=3)
+        collisions, distinct = brute_force_uniqueness(rows)
+        assert report.collisions == collisions
+        assert report.distinct_vectors == distinct
+        pair = [c[:2] for c in report.collisions if c[:2] == ((1,), (2,))]
+        assert bool(pair) == (not flip)
+
+    @pytest.mark.parametrize("v", [1, 64, 65, 130, 462])
+    @pytest.mark.parametrize("one", [True, False])
+    def test_last_tile_decides_zero_and_witness(self, v, one):
+        """Row 1 is all zeros except, optionally, a one at the last column
+        visited, its only majority and witness column."""
+        rows = random_rows(np.random.default_rng(v), 5, v)
+        col = last_visited_column(v)
+        rows[0] = "0" * col + str(int(one)) + "0" * (v - col - 1)
+        cb = codebook_from_rows(rows)
+        assert cc.verify_no_zero_vector(cb) == oracles.zero_unreachable(rows)
+        if not one:
+            assert not cc.verify_no_zero_vector(cb)
+        failures = cc.sweep_witnesses(cb).failures
+        assert failures == oracles.witness_failures(rows)
+        assert ((1,) in failures) == (not one)
+
+
 def test_import_leaves_numpy_random_unloaded():
     code = "import sys, collisioncode; print('numpy.random' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -390,19 +494,6 @@ class TestEnumerationEngine:
         for mask in range(1 << k):
             ids = [i - 1 for i in mask_to_ids(mask)]
             assert table[mask].tolist() == rows[ids].sum(axis=0).tolist()
-
-    def test_block_keys_tie_on_equal_rows(self):
-        rng = np.random.default_rng(3)
-        for width in (1, 7, 8, 9, 805):
-            packed = rng.integers(0, 256, (6, width), np.uint8)
-            packed[4] = packed[1]
-            packed[5] = packed[0]
-            packed[5, -1] ^= 0x80  # one bit apart from row 0
-            mults = verifier._key_multipliers(8 * width)
-            keys = verifier._block_keys(packed, mults)
-            assert keys.dtype == np.int64
-            assert keys[4] == keys[1] and keys[5] != keys[0]
-            assert (verifier._block_keys(packed[[1]], mults) == keys[1]).all()
 
     def test_blocks_match_oracle_for_five_rows(self):
         cb = cached_codebook(5)
