@@ -4,7 +4,8 @@
 Two kinds of goldens live there:
 
 * oracle-derived tables (the nearest-decode corruption table) computed
-  here by standalone brute force, independent of the package's decoder;
+  by the pure-Python brute force of tests/oracles.py, independent of the
+  package's decoder;
 * seeded captures (noisy profile samples, protocol round/session runs)
   recorded from the package's own deterministic generators and frozen so
   any later behavior drift fails loudly.
@@ -14,42 +15,24 @@ Run from the repo root: python scripts/make_goldens.py
 
 import json
 import sys
-from itertools import combinations
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "tests"))
 
 import collisioncode as cc  # noqa: E402
 from collisioncode import protocol  # noqa: E402
+from oracles import demod, hamming, matrix_rows, nonempty_subsets  # noqa: E402
 
 
-# -------- standalone brute-force oracle (no package imports used) --------
-
-def oracle_rows(n_rows: int) -> list[str]:
-    """Rows of the constant-weight matrix, columns in descending value order."""
-    r = (n_rows + 1) // 2
-    patterns = sorted((p for p in range(2 ** n_rows)
-                       if bin(p).count("1") == r), reverse=True)
-    return ["".join(str((p >> (n_rows - 1 - i)) & 1) for p in patterns)
-            for i in range(n_rows)]
-
-
-def oracle_demod(rows: list[str], subset: tuple[int, ...]) -> str:
-    v = len(rows[0])
-    out = []
-    for c in range(v):
-        ones = sum(int(rows[i - 1][c]) for i in subset)
-        out.append("1" if 2 * ones > len(subset) else "0")
-    return "".join(out)
-
+# ------------------------- oracle-derived tables --------------------------
 
 def nearest_corruption_table(n_stations: int, max_dist: int) -> list[dict]:
-    rows = oracle_rows(n_stations)
-    subsets = [s for k in range(1, n_stations + 1)
-               for s in combinations(range(1, n_stations + 1), k)]
-    reachable = {s: oracle_demod(rows, s) for s in subsets}
+    rows = matrix_rows(n_stations)
+    subsets = nonempty_subsets(n_stations)
+    reachable = {s: demod(rows, s) for s in subsets}
     v = len(rows[0])
     cases = []
     for subset in subsets:
@@ -63,7 +46,7 @@ def nearest_corruption_table(n_stations: int, max_dist: int) -> list[dict]:
                               "expect": "silence", "stations_out": None,
                               "distance": 0})
                 continue
-            dists = {s: sum(a != b for a, b in zip(vec, corrupted))
+            dists = {s: hamming(vec, corrupted)
                      for s, vec in reachable.items()}
             best = min(dists.values())
             winners = [s for s, d in dists.items() if d == best]

@@ -4,7 +4,9 @@ Enumerating every subset of m rows naively costs 2^m row sums of length V.
 The generators here split the rows into a low block, whose 2^n_lo partial
 sums are precomputed once, and a high block walked in Gray-code order so
 that one row is added or removed per step. Each block of 2^n_lo subsets
-then costs a single vectorized add.
+then costs a single vectorized add. `split_rows` picks n_lo, at most
+DEFAULT_LO_BITS rows, for these generators and for the decoder's pruned
+nearest search.
 
 Subset masks use bit i for row i+1. Yielded count buffers are reused
 between iterations; copy them if they must outlive the loop body.
@@ -21,9 +23,9 @@ DEFAULT_LO_BITS = 8
 _LO_TABLE_BYTES = 1 << 26
 
 
-def split_rows(m: int, v: int, lo_bits: int = DEFAULT_LO_BITS) -> int:
+def split_rows(m: int, v: int) -> int:
     """Width of the precomputed low block for an m-row, V-column run."""
-    n_lo = min(m, lo_bits)
+    n_lo = min(m, DEFAULT_LO_BITS)
     while n_lo > 1 and (1 << n_lo) * v > _LO_TABLE_BYTES:
         n_lo -= 1
     return n_lo
@@ -62,7 +64,7 @@ def partial_counts(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
+def count_blocks(matrix: np.ndarray, m: int):
     """Yield (masks, counts, sizes) covering every subset of the first m rows.
 
     counts[i, c] is the number of one-bits at column c over the rows in
@@ -70,8 +72,7 @@ def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
     is included (callers usually skip it).
     """
     v = matrix.shape[1]
-    if n_lo is None:
-        n_lo = split_rows(m, v)
+    n_lo = split_rows(m, v)
     n_hi = m - n_lo
     rows = matrix[:m].astype(np.int8)  # counts stay below 127 for any supported size
     size_lo = 1 << n_lo
@@ -95,13 +96,13 @@ def count_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
         yield (gray << n_lo) | lo_idx, counts, sizes
 
 
-def demod_blocks(matrix: np.ndarray, m: int, n_lo: int | None = None):
+def demod_blocks(matrix: np.ndarray, m: int):
     """Yield (masks, packed) where packed[i] is the majority-demodulated
     superposition of subset masks[i], packed 8 chips per byte, MSB first.
 
     A chip demodulates to 1 exactly when the subset holds strictly more
     ones than zeros at that column, i.e. count >= floor(size/2) + 1.
     """
-    for masks, counts, sizes in count_blocks(matrix, m, n_lo):
+    for masks, counts, sizes in count_blocks(matrix, m):
         bits = counts >= (sizes // 2 + 1)[:, None]
         yield masks, np.packbits(bits, axis=1)

@@ -37,7 +37,7 @@ _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
 
 
 class SizeLimitError(ValueError):
-    """Requested size exceeds the configured station or enumeration cap."""
+    """Requested size exceeds the station cap or an enumeration budget."""
 
 
 class FormatError(ValueError):
@@ -53,7 +53,9 @@ class Codebook:
 
     Built from the unpacked (n_rows, V) 0/1 matrix, which `matrix()`
     exposes for the channel and verifier; `packed` holds the same rows 8
-    chips per byte for the decoder. Both arrays are read-only.
+    chips per byte for the decoder. Both arrays are read-only. A
+    station's codeword is read with `codeword_for`, which keeps the
+    padding row of an even station count out of reach.
     """
 
     def __init__(self, n_stations: int, bits: np.ndarray):
@@ -69,13 +71,6 @@ class Codebook:
         """Unpacked (n_rows, V) uint8 matrix; read-only."""
         return self._bits
 
-    def row(self, station: int) -> np.ndarray:
-        """Codeword of a station, as a read-only length-V 0/1 vector."""
-        if not 1 <= station <= self.n_stations:
-            raise ValueError(
-                f"station {station} out of range 1..{self.n_stations}")
-        return self.matrix()[station - 1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
             return NotImplemented
@@ -90,7 +85,7 @@ class Codebook:
                 f"v_length={self.v_length})")
 
 
-def build_codebook(n_stations: int, max_stations: int = MAX_STATIONS) -> Codebook:
+def build_codebook(n_stations: int) -> Codebook:
     """Construct the codebook for n_stations.
 
     Even station counts get an extra padding row so the row count stays
@@ -100,9 +95,9 @@ def build_codebook(n_stations: int, max_stations: int = MAX_STATIONS) -> Codeboo
     """
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
-    if n_stations > max_stations:
+    if n_stations > MAX_STATIONS:
         raise SizeLimitError(
-            f"n_stations={n_stations} exceeds the cap of {max_stations} "
+            f"n_stations={n_stations} exceeds the cap of {MAX_STATIONS} "
             f"(codeword length grows as C(rows, (rows+1)/2))")
     n_rows = n_stations + (n_stations % 2 == 0)
     r = (n_rows + 1) // 2
@@ -125,8 +120,11 @@ def _column_dtype(n_rows: int) -> np.dtype:
 
 
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
-    """Length-V codeword the given station transmits as its ACK payload."""
-    return cb.row(station)
+    """Length-V codeword the given station transmits as its ACK payload,
+    as a read-only 0/1 vector."""
+    if not 1 <= station <= cb.n_stations:
+        raise ValueError(f"station {station} out of range 1..{cb.n_stations}")
+    return cb.matrix()[station - 1]
 
 
 def bits_to_str(bits: np.ndarray) -> str:
@@ -158,13 +156,13 @@ def serialize_codebook(cb: Codebook) -> str:
     return str(buf.data, "ascii")
 
 
-def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
+def parse_codebook(doc: str) -> Codebook:
     """Parse and fully re-validate a codebook document.
 
     Rejects documents that are merely well-formed but violate the matrix
     invariants: every column must hold exactly R ones, columns must be
     pairwise distinct (hence enumerate all weight-R patterns, given the
-    header's V), rows must be distinct with equal weights.
+    header's V), which makes the rows distinct with equal weights.
     """
     if not doc.endswith("\n"):
         raise FormatError("document must end with a newline")
@@ -175,8 +173,8 @@ def parse_codebook(doc: str, max_stations: int = MAX_STATIONS) -> Codebook:
     n, n_rows, r, v = (int(g) for g in header.groups())
     if n < 1:
         raise InvariantError("N must be >= 1")
-    if n > max_stations:
-        raise SizeLimitError(f"N={n} exceeds the cap of {max_stations}")
+    if n > MAX_STATIONS:
+        raise SizeLimitError(f"N={n} exceeds the cap of {MAX_STATIONS}")
     if n_rows % 2 == 0 or n_rows != n + (n % 2 == 0):
         raise InvariantError(
             f"ROWS={n_rows} inconsistent with N={n}: rows must be N for odd "
@@ -231,6 +229,12 @@ def _line_bits(doc: str, n_rows: int, v: int) -> np.ndarray:
 
 
 def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
+    """Raise InvariantError unless the v columns are distinct and of weight r.
+
+    Callers pass v = C(n_rows, r), so distinct weight-r columns are every
+    weight-r pattern: any two rows differ (some pattern holds one and not
+    the other) and each row holds C(n_rows - 1, r - 1) ones.
+    """
     # column value with row 1 as MSB
     vals = np.zeros(v, _column_dtype(n_rows))
     for i in range(n_rows):
@@ -250,19 +254,3 @@ def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
         if ties.size:
             raise InvariantError(
                 f"duplicate column (first at index {int(order[ties[0]]) + 1})")
-    # C(n_rows, r) distinct columns of weight r are every weight-r pattern,
-    # so any two rows differ (some pattern holds one and not the other) and
-    # each row holds a one in the C(n_rows-1, r-1) patterns through it;
-    # only a partial column set can fail the row checks
-    if v == math.comb(n_rows, r):
-        return
-    row_keys = {bits[i].tobytes() for i in range(n_rows)}
-    if len(row_keys) != n_rows:
-        raise InvariantError("duplicate rows")
-    expected_row_weight = math.comb(n_rows - 1, r - 1)
-    row_weights = bits.sum(axis=1)
-    if not (row_weights == expected_row_weight).all():
-        bad_row = int(np.flatnonzero(row_weights != expected_row_weight)[0])
-        raise InvariantError(
-            f"row {bad_row + 1} has weight {int(row_weights[bad_row])}, "
-            f"expected {expected_row_weight}")

@@ -35,8 +35,9 @@ three facts by enumerating every row subset:
   split on it and singletons leave. The groups left after the last tile
   are the collisions. Nothing is hashed, so no tie is ever re-checked.
 
-Enumeration budgets keep the 2^rows scans at desk scale and can be raised
-per call; the additivity trials need no row budget.
+Enumeration budgets keep the 2^rows scans at desk scale: each enumeration
+refuses a codebook with more rows than its module-level budget, read when
+it is called. The additivity trials need no row budget.
 """
 
 import itertools
@@ -330,8 +331,12 @@ def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
     return ["".join(parts) for parts in zip(*blocks)]
 
 
-def sweep_witnesses(cb: Codebook,
-                    max_rows: int = WITNESS_SWEEP_BUDGET_ROWS) -> WitnessSweepReport:
+def _check_budget(m: int, budget: int, name: str) -> None:
+    if m > budget:
+        raise SizeLimitError(f"n_rows={m} exceeds the {name} budget of {budget}")
+
+
+def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
     """Check witness existence for every proper non-empty row subset.
 
     For subset size g the witness condition (+1 for odd g, 0 for even g)
@@ -340,9 +345,7 @@ def sweep_witnesses(cb: Codebook,
     column, and the subsets that no tile settles are the failures.
     """
     m = cb.n_rows
-    if m > max_rows:
-        raise SizeLimitError(
-            f"n_rows={m} exceeds the witness sweep budget of {max_rows}")
+    _check_budget(m, WITNESS_SWEEP_BUDGET_ROWS, "witness sweep")
     t0 = time.perf_counter()
     unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1),
                            lambda ones, sizes: (ones == (sizes + 1) // 2).any(axis=1))
@@ -438,8 +441,7 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     return AdditivityReport(trials, seed, True, None)
 
 
-def verify_uniqueness(cb: Codebook, workers: int = 1,
-                      max_rows: int = UNIQUENESS_BUDGET_ROWS) -> UniquenessReport:
+def verify_uniqueness(cb: Codebook, workers: int = 1) -> UniquenessReport:
     """Enumerate every non-empty row subset and detect vector collisions.
 
     The collision list must come back empty for a correct codebook. The
@@ -450,9 +452,7 @@ def verify_uniqueness(cb: Codebook, workers: int = 1,
     the report is the same for any worker count.
     """
     m = cb.n_rows
-    if m > max_rows:
-        raise SizeLimitError(
-            f"n_rows={m} exceeds the uniqueness budget of {max_rows}")
+    _check_budget(m, UNIQUENESS_BUDGET_ROWS, "uniqueness")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
@@ -467,8 +467,7 @@ def verify_uniqueness(cb: Codebook, workers: int = 1,
                             time.perf_counter() - t0)
 
 
-def verify_no_zero_vector(cb: Codebook,
-                          max_rows: int = UNIQUENESS_BUDGET_ROWS) -> bool:
+def verify_no_zero_vector(cb: Codebook) -> bool:
     """True when no non-empty row subset demodulates to the all-zero vector.
 
     A subset demodulates to all zeros exactly when no column count reaches
@@ -476,8 +475,6 @@ def verify_no_zero_vector(cb: Codebook,
     holding such a column; the check fails only if one survives every tile.
     """
     m = cb.n_rows
-    if m > max_rows:
-        raise SizeLimitError(
-            f"n_rows={m} exceeds the uniqueness budget of {max_rows}")
+    _check_budget(m, UNIQUENESS_BUDGET_ROWS, "uniqueness")
     return not _unsettled(cb.matrix(), np.arange(1, 1 << m),
                           lambda ones, sizes: (ones > sizes // 2).any(axis=1)).size

@@ -178,10 +178,11 @@ class TestWitnesses:
         assert report.failures == []
         assert report.subsets_checked == max(2 ** report.n - 2, 0)
 
-    def test_sweep_budget(self):
+    def test_sweep_budget(self, monkeypatch):
         with pytest.raises(cc.SizeLimitError):
             cc.sweep_witnesses(cached_codebook(13))
-        cc.sweep_witnesses(cached_codebook(13), max_rows=13)
+        monkeypatch.setattr(verifier, "WITNESS_SWEEP_BUDGET_ROWS", 13)
+        cc.sweep_witnesses(cached_codebook(13))
 
 
 class TestAdditivity:
@@ -320,6 +321,16 @@ class TestUniqueness:
             cc.verify_uniqueness(cached_codebook(16))
         with pytest.raises(ValueError):
             cc.verify_uniqueness(cached_codebook(3), workers=0)
+
+    @pytest.mark.parametrize("check", [cc.verify_uniqueness,
+                                       cc.verify_no_zero_vector])
+    def test_budget_is_read_at_call_time(self, check, monkeypatch):
+        cb = cached_codebook(7)
+        check(cb)
+        monkeypatch.setattr(verifier, "UNIQUENESS_BUDGET_ROWS", 6)
+        with pytest.raises(cc.SizeLimitError,
+                           match=r"^n_rows=7 exceeds the uniqueness budget of 6$"):
+            check(cb)
 
     @pytest.mark.parametrize("n_rows,src,dst", [(3, 1, 2), (5, 4, 2),
                                                 (7, 7, 3), (9, 2, 9)])
