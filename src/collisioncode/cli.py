@@ -14,8 +14,9 @@ import numpy as np
 
 from . import channel, decoder, protocol, verifier
 from .codebook import (FormatError, InvariantError, SizeLimitError,
-                       bits_to_str, build_codebook, codeword_for,
-                       parse_codebook, serialize_codebook, str_to_bits)
+                       _document_image, _parse_bytes, bits_to_str,
+                       build_codebook, codeword_for, parse_codebook,
+                       serialize_codebook, str_to_bits)
 
 
 def _load_codebook(path: str):
@@ -24,7 +25,7 @@ def _load_codebook(path: str):
     # bytes, not text mode, so CR bytes reach the parser instead of being
     # folded into newlines
     with open(path, "rb") as fh:
-        return parse_codebook(fh.read().decode("ascii"))
+        return _parse_bytes(fh.read())
 
 
 def _parse_stations(text: str) -> frozenset[int]:
@@ -38,12 +39,12 @@ def _parse_stations(text: str) -> frozenset[int]:
 
 
 def cmd_gen(args) -> int:
-    doc = serialize_codebook(build_codebook(args.n))
+    cb = build_codebook(args.n)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(doc)
+        with open(args.out, "wb") as fh:
+            fh.write(_document_image(cb))
     else:
-        sys.stdout.write(doc)
+        sys.stdout.write(serialize_codebook(cb))
     return 0
 
 
@@ -121,23 +122,20 @@ def _verify_section(check: str, cb, args) -> tuple[dict, bool]:
     raise AssertionError(check)
 
 
-_BUDGETS = {
-    "uniqueness": verifier.UNIQUENESS_BUDGET_ROWS,
-    "lemmas": verifier.WITNESS_SWEEP_BUDGET_ROWS,
-    "zero": verifier.UNIQUENESS_BUDGET_ROWS,
-}
-
-
 def cmd_verify(args) -> int:
     cb = build_codebook(args.n)
     if args.check != "all":
         section, ok = _verify_section(args.check, cb, args)
         print(json.dumps(section))
         return 0 if ok else 1
+    # read when the command runs, so the verifier's budgets are the only copy
+    budgets = {"uniqueness": verifier.UNIQUENESS_BUDGET_ROWS,
+               "lemmas": verifier.WITNESS_SWEEP_BUDGET_ROWS,
+               "zero": verifier.UNIQUENESS_BUDGET_ROWS}
     out: dict = {"n": cb.n_rows}
     all_ok = True
     for check in ("uniqueness", "lemmas", "claims", "zero"):
-        budget = _BUDGETS.get(check)
+        budget = budgets.get(check)
         if budget is not None and cb.n_rows > budget:
             out[check] = {"skipped": f"n_rows={cb.n_rows} exceeds the "
                                      f"default budget of {budget}"}

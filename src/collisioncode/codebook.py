@@ -6,13 +6,25 @@ an (n+1)-row matrix when n is even), and the columns enumerate every
 length-`rows` pattern holding exactly (rows+1)/2 ones, each pattern
 appearing once. Columns are ordered by descending numeric value of the
 column pattern with row 1 as the most significant bit, which makes
-construction deterministic: the column values are exactly the integers
-below 2^rows with (rows+1)/2 bits set, in descending order, so the
-matrix is built by filtering that range on popcount and unpacking the
-surviving values row by row. Parsing reads the whole byte image of a
-document first, as a (rows, V+1) array whose last column must be LF, and
-splits it into lines only to name the first fault of a malformed one; it
-then re-validates the matrix through the same column values.
+construction deterministic.
+
+Building splits the rows into a top and a bottom half. In descending
+order, the weight-R columns are: for each top-half pattern in descending
+order, every bottom-half pattern that completes its weight to R, also in
+descending order. So each top row is a small table row repeated, and the
+bottom rows are one concatenation of small per-weight tables; no
+2^rows range is ever enumerated.
+
+A document is one byte image: the ASCII header line, then a (rows, V+1)
+array whose last column is LF. Serializing fills that array;
+`serialize_codebook` decodes it to text and `gen --out` writes its bytes.
+Parsing reads the rows off the image in one pass, and splits the document
+into lines only to name the first fault of a malformed one; it then
+re-validates the matrix through its column values. The CLI parses a
+codebook file from its bytes without decoding it to text; any document
+that does not parse whole that way is decoded and given to
+`parse_codebook`, so every error and its order are those of the text
+parser.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -101,17 +113,31 @@ def build_codebook(n_stations: int) -> Codebook:
             f"(codeword length grows as C(rows, (rows+1)/2))")
     n_rows = n_stations + (n_stations % 2 == 0)
     r = (n_rows + 1) // 2
-    # every column value in descending order, row 1 as the MSB, keeping
-    # those of weight R; unpacked one row at a time straight into the
-    # matrix (the cast keeps the low byte), since a whole (n_rows, V)
-    # temporary of column values would be 4x the matrix
-    vals = np.arange((1 << n_rows) - 1, -1, -1, dtype=_column_dtype(n_rows))
-    vals = vals[np.bitwise_count(vals) == r]
-    bits = np.empty((n_rows, vals.size), np.uint8)
-    for i in range(n_rows):
-        np.right_shift(vals, n_rows - 1 - i, out=bits[i], casting="unsafe")
-        bits[i] &= 1
+    # each top row repeats a small table row over runs of columns, and the
+    # bottom rows are one concatenation of per-weight tables
+    lo_bits = n_rows // 2
+    hi_rows, hi_weights = _patterns(n_rows - lo_bits)
+    lo_rows, lo_weights = _patterns(lo_bits)
+    lo_by_weight = [lo_rows[:, lo_weights == w] for w in range(lo_bits + 1)]
+    need = r - hi_weights.astype(np.intp)
+    keep = (need >= 0) & (need <= lo_bits)
+    need = need[keep]
+    counts = np.array([t.shape[1] for t in lo_by_weight])[need]
+    bits = np.empty((n_rows, int(counts.sum())), np.uint8)
+    for i, row in enumerate(hi_rows[:, keep]):
+        bits[i] = np.repeat(row, counts)
+    np.concatenate([lo_by_weight[w] for w in need], axis=1,
+                   out=bits[len(hi_rows):])
     return Codebook(n_stations, bits)
+
+
+def _patterns(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n_bits-bit pattern as a column of an (n_bits, 2^n_bits) 0/1
+    matrix, in descending value order with row 1 as the MSB, and the
+    weight of each."""
+    vals = np.arange((1 << n_bits) - 1, -1, -1)
+    shifts = np.arange(n_bits - 1, -1, -1)[:, None]
+    return (vals >> shifts & 1).astype(np.uint8), np.bitwise_count(vals)
 
 
 def _column_dtype(n_rows: int) -> np.dtype:
@@ -146,6 +172,11 @@ def str_to_bits(s: str) -> np.ndarray:
 
 def serialize_codebook(cb: Codebook) -> str:
     """Canonical text form; the same codebook always yields identical bytes."""
+    return str(_document_image(cb).data, "ascii")
+
+
+def _document_image(cb: Codebook) -> np.ndarray:
+    """The bytes of the canonical document, as one uint8 array."""
     header = (f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
               f"R={cb.r_weight} V={cb.v_length}\n").encode("ascii")
     buf = np.empty(len(header) + cb.n_rows * (cb.v_length + 1), np.uint8)
@@ -153,7 +184,7 @@ def serialize_codebook(cb: Codebook) -> str:
     body = buf[len(header):].reshape(cb.n_rows, cb.v_length + 1)
     np.add(cb.matrix(), ord("0"), out=body[:, :-1])
     body[:, -1] = ord("\n")
-    return str(buf.data, "ascii")
+    return buf
 
 
 def parse_codebook(doc: str) -> Codebook:
@@ -167,6 +198,41 @@ def parse_codebook(doc: str) -> Codebook:
     if not doc.endswith("\n"):
         raise FormatError("document must end with a newline")
     head = doc[:doc.index("\n")]
+    n, n_rows, r, v = _header_fields(head)
+    try:
+        bits = _image_bits(doc.encode("ascii"), len(head) + 1, n_rows, v)
+    except UnicodeEncodeError:
+        bits = None
+    if bits is None:
+        bits = _line_bits(doc, n_rows, v)
+    _validate_matrix(bits, n_rows, r, v)
+    return Codebook(n, bits)
+
+
+def _parse_bytes(data: bytes) -> Codebook:
+    """parse_codebook(data.decode("ascii")), without decoding a document
+    whose header is valid and whose rows read as one byte image.
+
+    Every other document goes through that call, so it fails with the
+    same error, in the same order: a non-ASCII byte anywhere raises the
+    decode error before any header or row error.
+    """
+    head = data.partition(b"\n")[0]
+    try:
+        n, n_rows, r, v = _header_fields(head.decode("ascii"))
+    except (UnicodeDecodeError, FormatError, InvariantError, SizeLimitError):
+        bits = None
+    else:
+        bits = _image_bits(data, len(head) + 1, n_rows, v)
+    if bits is None:
+        return parse_codebook(data.decode("ascii"))
+    _validate_matrix(bits, n_rows, r, v)
+    return Codebook(n, bits)
+
+
+def _header_fields(head: str) -> tuple[int, int, int, int]:
+    """(N, ROWS, R, V) of a header line that names a codebook within the
+    cap; raises the first fault otherwise."""
     header = _HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"bad header line: {head!r}")
@@ -184,27 +250,20 @@ def parse_codebook(doc: str) -> Codebook:
     if v != math.comb(n_rows, r):
         raise InvariantError(
             f"V={v}, expected C({n_rows},{r}) = {math.comb(n_rows, r)}")
-    bits = _image_bits(doc, len(head) + 1, n_rows, v)
-    if bits is None:
-        bits = _line_bits(doc, n_rows, v)
-    _validate_matrix(bits, n_rows, r, v)
-    return Codebook(n, bits)
+    return n, n_rows, r, v
 
 
-def _image_bits(doc: str, start: int, n_rows: int, v: int) -> np.ndarray | None:
+def _image_bits(data: bytes, start: int, n_rows: int,
+                v: int) -> np.ndarray | None:
     """The (n_rows, v) matrix read off the document's bytes in one pass.
 
     None unless everything after the header is exactly n_rows lines of v
     ASCII '0'/'1' characters, each ending in LF; the caller then falls
-    back to `_line_bits`.
+    back to the line-by-line parse.
     """
-    if len(doc) != start + n_rows * (v + 1):
+    if len(data) != start + n_rows * (v + 1):
         return None
-    try:
-        data = np.frombuffer(doc.encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
-        return None
-    body = data[start:].reshape(n_rows, v + 1)
+    body = np.frombuffer(data, np.uint8, offset=start).reshape(n_rows, v + 1)
     if (body[:, -1] != ord("\n")).any():
         return None
     # characters below '0' wrap round to large values
@@ -235,11 +294,19 @@ def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
     weight-r pattern: any two rows differ (some pattern holds one and not
     the other) and each row holds C(n_rows - 1, r - 1) ones.
     """
-    # column value with row 1 as MSB
+    # column values with row 1 as the MSB, assembled 8 rows at a time in a
+    # uint8 buffer (doubled by addition, which numpy runs far faster than
+    # a uint8 shift) and only then shifted into the wide values
     vals = np.zeros(v, _column_dtype(n_rows))
-    for i in range(n_rows):
-        np.left_shift(vals, 1, out=vals)
-        np.bitwise_or(vals, bits[i], out=vals)
+    byte = np.empty(v, np.uint8)
+    for first in range(0, n_rows, 8):
+        group = bits[first:first + 8]
+        np.copyto(byte, group[0])
+        for row in group[1:]:
+            np.add(byte, byte, out=byte)
+            np.bitwise_or(byte, row, out=byte)
+        np.left_shift(vals, len(group), out=vals)
+        np.bitwise_or(vals, byte, out=vals)
     col_weights = np.bitwise_count(vals)
     bad = np.flatnonzero(col_weights != r)
     if bad.size:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, piping."""
 
+import hashlib
 import io
 import json
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import collisioncode as cc
+from collisioncode import cli, codebook, verifier
 from collisioncode.cli import main
 from conftest import cached_codebook
 from test_decoder import smallest_unreachable
@@ -43,6 +45,25 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "--n", "26"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_out_file_is_the_serialized_document(self, capsys, tmp_path, n):
+        path = tmp_path / "cb.txt"
+        assert run(capsys, ["gen", "--n", str(n), "--out", str(path)]) == (
+            0, "", "")
+        assert path.read_bytes() == cc.serialize_codebook(
+            cc.build_codebook(n)).encode()
+
+    @pytest.mark.parametrize("n, sha256", [
+        (21, "2be7fb698e4e072f9847f7d083b0609a3fe786ec0fc937902fed9c287715f4f1"),
+        (24, "c7ab5042e34a2afeb690ff11a0feaf1260ab90b90304dd6b545155c0a82b4f2a"),
+        (25, "aa45acbc9e1a7a7a17f16329a28655882f88eab690f77430c711bf94ab73c36d"),
+    ])
+    def test_out_file_digest_beyond_the_oracle(self, capsys, tmp_path, n,
+                                               sha256):
+        path = tmp_path / "cb.txt"
+        assert run(capsys, ["gen", "--n", str(n), "--out", str(path)])[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
 
 class TestEncode:
     def test_codeword(self, capsys, cb3_path):
@@ -70,6 +91,72 @@ class TestEncode:
         code, _, err = run(capsys, ["encode", "--codebook",
                                     str(tmp_path / "nope.txt"), "--station", "1"])
         assert code == 2
+
+
+class TestBytesLoader:
+    """A codebook file parses from its bytes exactly as parse_codebook
+    parses its ASCII text: the same matrix, or the same error."""
+
+    @staticmethod
+    def corpus():
+        docs = []
+        for n in range(1, 6):
+            doc = cc.serialize_codebook(cached_codebook(n)).encode()
+            docs += [
+                doc, doc.replace(b"\n", b"\r\n"), doc[:len(doc) // 2],
+                doc[:-1],
+                doc[:5] + b"\xc3\xa9" + doc[5:],  # non-ASCII in the header
+                doc[:-2] + b"\xff\n",  # non-ASCII in the body
+                doc.replace(b"v1", b"v2", 1)[:-2] + b"\x80\n",
+                doc.replace(b" V=", b" V=9", 1)[:-2] + b"\x80\n",
+            ]
+            docs += [doc[:pos] + bytes([doc[pos] ^ 1 << bit]) + doc[pos + 1:]
+                     for pos in range(len(doc)) for bit in range(8)]
+        return docs
+
+    @staticmethod
+    def outcome(parse, arg):
+        try:
+            cb = parse(arg)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return cb.n_stations, cb.matrix().shape, cb.matrix().tobytes()
+
+    def test_file_parse_matches_text_parse(self, tmp_path):
+        path = tmp_path / "cb.txt"
+        kinds = set()
+        for data in self.corpus():
+            path.write_bytes(data)
+            expected = self.outcome(
+                lambda d: cc.parse_codebook(d.decode("ascii")), data)
+            assert self.outcome(cli._load_codebook, str(path)) == expected, data
+            kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
+        assert kinds == {"ok", UnicodeDecodeError, cc.FormatError,
+                         cc.InvariantError}
+
+    def test_cli_matches_text_parse(self, capsys, tmp_path):
+        path = tmp_path / "cb.txt"
+        for data in self.corpus():
+            path.write_bytes(data)
+            try:
+                cb = cc.parse_codebook(data.decode("ascii"))
+            except ValueError as exc:
+                expected = (2, "", f"error: {exc}\n")
+            else:
+                expected = (0, cc.bits_to_str(cc.codeword_for(cb, 1)) + "\n",
+                            "")
+            assert run(capsys, ["encode", "--codebook", str(path),
+                                "--station", "1"]) == expected, data
+
+    def test_valid_file_is_not_decoded(self, tmp_path, monkeypatch):
+        path = tmp_path / "cb.txt"
+        path.write_text(cc.serialize_codebook(cached_codebook(9)))
+
+        def text_parse(doc):
+            raise AssertionError("decoded to text")
+        monkeypatch.setattr(codebook, "parse_codebook", text_parse)
+        monkeypatch.setattr(cli, "parse_codebook", text_parse)
+        assert cli._load_codebook(str(path)) == cached_codebook(9)
 
 
 class TestSuperpose:
@@ -294,6 +381,16 @@ class TestVerify:
         payload = json.loads(out)
         assert "skipped" in payload["lemmas"]
         assert payload["uniqueness"]["distinct_vectors"] == 8191
+
+    def test_all_reads_budgets_at_run_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(verifier, "UNIQUENESS_BUDGET_ROWS", 6)
+        code, out, _ = run(capsys, ["verify", "--n", "7", "--check", "all"])
+        assert code == 0
+        payload = json.loads(out)
+        for check in ("uniqueness", "zero"):
+            assert payload[check] == {
+                "skipped": "n_rows=7 exceeds the default budget of 6"}
+        assert payload["lemmas"]["failures"] == []
 
     def test_over_budget_single_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify", "--n", "16", "--check",

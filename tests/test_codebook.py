@@ -210,6 +210,31 @@ class TestTextFormat:
             assert cc.serialize_codebook(cc.parse_codebook(doc)) == doc
         assert len(sorts) == (cols != list(range(10)))
 
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_multi_byte_column_values(self, n, monkeypatch):
+        # column values span several 8-row groups: a valid document is
+        # still seen as strictly descending, and a flip in any group
+        # names its column
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+        cb = cached_codebook(n)
+        doc = cc.serialize_codebook(cb)
+        assert cc.parse_codebook(doc) == cb and not sorts
+        lines = doc.split("\n")
+        for row in (1, 8, 9, cb.n_rows):
+            col = (7 * row) % cb.v_length
+            flipped = lines.copy()
+            bit = flipped[row][col]
+            flipped[row] = (flipped[row][:col] + "10"[int(bit)]
+                            + flipped[row][col + 1:])
+            weight = cb.r_weight + (1 if bit == "0" else -1)
+            with pytest.raises(cc.InvariantError, match=(
+                    f"^column {col + 1} has weight {weight}, "
+                    f"expected {cb.r_weight}$")):
+                cc.parse_codebook("\n".join(flipped))
+
     def test_rejects_header_v_mismatch(self):
         with pytest.raises(cc.InvariantError, match="V=4"):
             cc.parse_codebook(V_MISMATCH_DOC)
