@@ -15,15 +15,15 @@ import numpy as np
 from . import channel, decoder, protocol, verifier
 from .codebook import (FormatError, InvariantError, SizeLimitError,
                        _document_image, _parse_bytes, bits_to_str,
-                       build_codebook, codeword_for, parse_codebook,
-                       serialize_codebook, str_to_bits)
+                       build_codebook, codeword_for, serialize_codebook,
+                       str_to_bits)
 
 
 def _load_codebook(path: str):
-    if path == "-":
-        return parse_codebook(sys.stdin.read())
     # bytes, not text mode, so CR bytes reach the parser instead of being
-    # folded into newlines
+    # folded into newlines, and a pipe fails as the same file would
+    if path == "-":
+        return _parse_bytes(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
         return _parse_bytes(fh.read())
 
@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["uniqueness", "lemmas", "claims", "zero", "all"],
                    help="uniqueness: all subsets decode distinctly; lemmas: "
                         "witness columns exist for every proper subset; "
-                        "claims: chip-sum additivity on random pairs; zero: "
-                        "all-zero vector is unreachable")
+                        "claims: on random subsets S, the rows correlating "
+                        "most with demod(S) are exactly S; zero: all-zero "
+                        "vector is unreachable")
     v.add_argument("--workers", type=int, default=1,
                    help="must be >= 1; kept for compatibility, since the "
                         "uniqueness check runs in one thread and its report "

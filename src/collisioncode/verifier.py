@@ -1,25 +1,23 @@
-"""Exhaustive machine checks of the codebook's chip-sum structure.
+"""Machine checks of the codebook's chip-sum structure.
 
 These operations work at the row level of the matrix (for even station
 counts that includes the padding row) and re-establish, by enumeration
-rather than by trust, the facts the decoder relies on:
+or seeded trials rather than by trust, the facts the decoder relies on:
 
-* chip sums are additive over disjoint unions and subtractive over nested
-  differences;
+* the rows of maximal correlation with demod(S) are exactly the rows of
+  S, the premise of exact decoding (seeded random subsets S);
 * every proper non-empty row subset has a witness column where its chip
   sum is +1 (odd-size subsets) or 0 (even-size subsets);
 * distinct non-empty subsets demodulate to distinct vectors;
 * no non-empty subset demodulates to the all-zero vector.
 
-Every check counts a subset's ones at a column by gathering from
-`partial_counts` tables, which hold the counts of every subset of a small
-chunk of rows: a subset's counts are the sum of one table row per chunk.
-The additivity identities are checked on seeded random trials; the other
-three facts by enumerating every row subset:
+`check_additivity` (named for the chip-sum identities it used to test)
+counts the ones of its trial subsets with one float32 matmul per block of
+columns and adds each row's correlation with demod(S) with a second. The
+other three facts are enumerated over every row subset, whose ones are
+gathered from `partial_counts` tables of the counts of every subset of a
+small chunk of rows: a subset's counts are the sum of one row per chunk.
 
-* `check_additivity` draws blocks of trials as subset masks, gathers
-  their counts a block of columns at a time, and tests both identities
-  as sums of counts at every column;
 * the three enumerations visit the columns in tiles of 64, spread over
   the whole codeword (`_column_tiles`), and count a tile only for the
   subsets that the earlier tiles left unresolved. On the canonical codes
@@ -37,10 +35,12 @@ three facts by enumerating every row subset:
 
 Enumeration budgets keep the 2^rows scans at desk scale: each enumeration
 refuses a codebook with more rows than its module-level budget, read when
-it is called. The additivity trials need no row budget.
+it is called. The claims trials need no row budget; a run is refused when
+its trials times V exceed _CLAIMS_BUDGET_CHIPS.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -51,9 +51,12 @@ from .codebook import Codebook, SizeLimitError, bits_to_str
 
 UNIQUENESS_BUDGET_ROWS = 15
 WITNESS_SWEEP_BUDGET_ROWS = 11
-_KERNEL_BYTES = 1 << 20  # tables, or gathered counts, of one kernel block
+_KERNEL_BYTES = 1 << 20  # tables, counts or a matrix block of one kernel step
 _TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
-_DRAW_TRIALS = 1 << 12  # additivity trials drawn and checked at once
+_DRAW_TRIALS = 1 << 12  # claims trials drawn and checked at once
+# trial chips (trials times V) of one claims run: the default 1000 trials
+# at the 25-station cap
+_CLAIMS_BUDGET_CHIPS = 1000 * math.comb(25, 13)
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -109,7 +112,7 @@ class WitnessSweepReport:
 
 @dataclass
 class AdditivityReport:
-    """Seeded random check of the union/difference chip-sum identities."""
+    """Seeded random check that demod(S) correlates most with S's rows."""
     trials: int
     seed: int
     ok: bool
@@ -354,90 +357,45 @@ def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
                               time.perf_counter() - t0)
 
 
-# a string, because naming np.random at import would load numpy.random
-# (about 15 ms and 5 MB) in every process that imports the package
-def _trial_masks(rng: "np.random.Generator", trials: int, m: int) -> np.ndarray:
-    """(trials, 6) subset masks (bit i for row i+1) of additivity trials.
-
-    Each trial draws two length-m codes in {0, 1, 2}, giving the columns
-    (g1, g2, g1 | g2) of a disjoint pair and (inner, outer_only, outer) of
-    a strictly nested pair. One draw of every code reads the same PCG64
-    stream as two draws per trial.
-    """
-    codes = rng.integers(0, 3, (trials, 2, m))
-    bit = np.int64(1) << np.arange(m, dtype=np.int64)
-    g1, g2 = (codes[:, 0] == 1) @ bit, (codes[:, 0] == 2) @ bit
-    outer_only, inner = (codes[:, 1] == 1) @ bit, (codes[:, 1] == 2) @ bit
-    # force the inclusion to be strict: an empty outer-only part takes the
-    # lowest inner row, or row 1 when inner is empty too
-    empty = outer_only == 0
-    low = np.where(empty, inner & -inner, 0)
-    outer_only = np.where(empty, np.where(low, low, 1), outer_only)
-    inner ^= low
-    return np.stack([g1, g2, g1 | g2, inner, outer_only, outer_only | inner],
-                    axis=1)
-
-
-def _first_failures(matrix: np.ndarray, masks: np.ndarray,
-                    chunks: list[tuple[int, int]]) -> np.ndarray:
-    """(trials, 2): the first 0-based column where each trial's union and
-    difference identity fail, or V where they hold at every column.
-
-    Each subset's ones are gathered by `_gather_counts`. Tables and
-    gathered counts are built a block of columns and trials at a time,
-    each within _KERNEL_BYTES.
-    """
-    v = matrix.shape[1]
-    width = max(1, min(v, _KERNEL_BYTES // sum(1 << (b - a) for a, b in chunks)))
-    step = max(1, _KERNEL_BYTES // (6 * width))
-    first = np.full((len(masks), 2), v)
-    for c0 in range(0, v, width):
-        block = matrix[:, c0:c0 + width].astype(np.int8)
-        tables = [partial_counts(block[a:b]) for a, b in chunks]
-        shape = (min(step, len(masks)), 6, block.shape[1])
-        ones, scratch = np.empty(shape, np.int8), np.empty(shape, np.int8)
-        for t0 in range(0, len(masks), step):
-            part = masks[t0:t0 + step]
-            k = len(part)
-            _gather_counts(tables, chunks, part, ones[:k], scratch[:k])
-            counts = ones[:k].reshape(k, 2, 3, -1)
-            bad = counts[:, :, 0] + counts[:, :, 1] != counts[:, :, 2]
-            if bad.any():
-                cols = np.where(bad.any(axis=2), c0 + bad.argmax(axis=2), v)
-                np.minimum(first[t0:t0 + step], cols, out=first[t0:t0 + step])
-    return first
-
-
 def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> AdditivityReport:
-    """Random trials of the chip-sum identities over row subsets.
+    """Seeded random trials of the premise that exact decoding relies on.
 
-    Each trial draws one disjoint pair (union identity) and one strictly
-    nested pair (difference identity) from a PCG64 generator seeded by
-    `seed`, and compares the identities at every column. The first failing
-    trial, if any, is reported as a counterexample.
+    Each trial draws a non-empty row subset S, as a uniform mask from a
+    PCG64 generator seeded by `seed`, and requires the rows of maximal
+    correlation with demod(S) (the count of columns where a row and
+    demod(S) are both 1) to be exactly S. The first failing trial is the
+    counterexample: its rows and the rows of maximal correlation.
 
-    With |g1 | g2| = |g1| + |g2|, the union identity S(g1 | g2) = S(g1) +
-    S(g2) on chip sums S = 2 * ones - size is ones(g1) + ones(g2) =
-    ones(g1 | g2), and the difference identity S(outer - inner) =
-    S(outer) - S(inner) is ones(inner) + ones(outer - inner) = ones(outer).
-    Trials are drawn and checked _DRAW_TRIALS at a time, so memory does
-    not grow with `trials`.
+    float32 matmuls are exact here: no value exceeds V <= C(25, 13) <
+    2^24. Trials are drawn and checked _DRAW_TRIALS at a time, which reads
+    the same stream as one draw, so memory does not grow with `trials`.
+    A run of more than _CLAIMS_BUDGET_CHIPS (trials times V) is refused.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    m, v = cb.n_rows, cb.v_length
+    if trials * v > _CLAIMS_BUDGET_CHIPS:
+        raise SizeLimitError(f"{trials} trials of {v} chips exceed the claims "
+                             f"budget of {_CLAIMS_BUDGET_CHIPS} chips")
     rng = np.random.default_rng(seed)
-    chunks = _row_chunks(cb.n_rows, 6 * min(trials, _DRAW_TRIALS))
     for t0 in range(0, trials, _DRAW_TRIALS):
-        masks = _trial_masks(rng, min(_DRAW_TRIALS, trials - t0), cb.n_rows)
-        first = _first_failures(cb.matrix(), masks, chunks)
-        failed = np.flatnonzero(first.ravel() < cb.v_length)
+        masks = rng.integers(1, 1 << m, min(_DRAW_TRIALS, trials - t0))
+        member = (masks[:, None] >> np.arange(m) & 1).astype(np.float32)
+        half = member.sum(axis=1, keepdims=True) // 2
+        corr = np.zeros((len(masks), m), np.float32)
+        width = max(1, _KERNEL_BYTES // (4 * max(len(masks), m)))
+        for c0 in range(0, v, width):
+            block = cb.matrix()[:, c0:c0 + width].astype(np.float32)
+            counts = member @ block
+            np.greater(counts, half, out=counts)  # demod(S), as 0.0 / 1.0
+            corr += counts @ block.T
+        top = corr == corr.max(axis=1, keepdims=True)
+        failed = np.flatnonzero((top != (member == 1)).any(axis=1))
         if failed.size:
-            t, law = divmod(int(failed[0]), 2)
-            name, a, b = (("union", 0, 1), ("difference", 3, 5))[law]
+            t = int(failed[0])
             return AdditivityReport(trials, seed, False, {
-                "law": name, "g1": list(mask_to_ids(int(masks[t, a]))),
-                "g2": list(mask_to_ids(int(masks[t, b]))),
-                "column": int(first[t, law]) + 1})
+                "rows": (np.flatnonzero(member[t]) + 1).tolist(),
+                "top": (np.flatnonzero(top[t]) + 1).tolist()})
     return AdditivityReport(trials, seed, True, None)
 
 

@@ -56,50 +56,18 @@ def hamming(a: str, b: str) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
-def additivity_draws(n_rows: int, trials: int, seed: int):
-    """Subsets of the claims check's trials, two generator draws per trial.
-
-    Yields (g1, g2, inner, outer, forced): sorted 1-based row tuples of
-    the disjoint pair and of the strictly nested pair, and whether the
-    nested draw had an empty outer-only part that had to be forced.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        codes = rng.integers(0, 3, n_rows).tolist()
-        g1 = [i + 1 for i, c in enumerate(codes) if c == 1]
-        g2 = [i + 1 for i, c in enumerate(codes) if c == 2]
-        codes = rng.integers(0, 3, n_rows).tolist()
-        outer_only = [i + 1 for i, c in enumerate(codes) if c == 1]
-        inner = [i + 1 for i, c in enumerate(codes) if c == 2]
-        forced = not outer_only
-        if forced:
-            if inner:
-                outer_only, inner = inner[:1], inner[1:]
-            else:
-                outer_only = [1]
-        yield (tuple(g1), tuple(g2), tuple(inner),
-               tuple(sorted(outer_only + inner)), forced)
-
-
-def additivity_report(rows: list[str], trials: int, seed: int,
-                      extra=lambda subset, col: 0):
-    """(ok, counterexample) of the claims check, trial by trial over chip
-    sums; extra(subset, col) is added to a subset's one-count, to model a
-    corrupted count."""
-    def sums(subset, col):
-        return chip_sum(rows, subset, col) + 2 * extra(subset, col)
-
-    for g1, g2, inner, outer, _ in additivity_draws(len(rows), trials, seed):
-        union = tuple(sorted(g1 + g2))
-        outer_only = tuple(sorted(set(outer) - set(inner)))
-        for c in range(1, len(rows[0]) + 1):
-            if sums(union, c) != sums(g1, c) + sums(g2, c):
-                return False, {"law": "union", "g1": list(g1),
-                               "g2": list(g2), "column": c}
-        for c in range(1, len(rows[0]) + 1):
-            if sums(outer_only, c) != sums(outer, c) - sums(inner, c):
-                return False, {"law": "difference", "g1": list(inner),
-                               "g2": list(outer), "column": c}
+def claims_report(rows: list[str], trials: int, seed: int):
+    """(ok, counterexample) of the claims check, trial by trial: the rows
+    whose count of shared ones with a drawn subset's demodulation is
+    largest must be exactly the subset's rows."""
+    masks = np.random.default_rng(seed).integers(1, 1 << len(rows), trials)
+    for mask in masks.tolist():
+        subset = [i + 1 for i in range(len(rows)) if mask >> i & 1]
+        y = demod(rows, subset)
+        corr = [sum(a == b == "1" for a, b in zip(row, y)) for row in rows]
+        top = [i + 1 for i, c in enumerate(corr) if c == max(corr)]
+        if top != subset:
+            return False, {"rows": subset, "top": top}
     return True, None
 
 

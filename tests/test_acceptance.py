@@ -102,11 +102,15 @@ def test_criterion_06_witness_sweeps():
 
 
 def test_criterion_07_additivity_identities():
-    for n in range(3, 16):
+    for n in range(1, 16):
         report = cc.check_additivity(cached_codebook(n), trials=1000, seed=n)
         assert report.ok, (n, report.counterexample)
-    _passed(7, "union/difference chip-sum identities hold on 1000 seeded "
-               "pairs per size, N = 3..15")
+    rows = cached_codebook(5).matrix().copy()
+    rows[4] = rows[2]
+    report = cc.check_additivity(cc.Codebook(5, rows))
+    assert report.counterexample == {"rows": [1, 2, 4, 5], "top": [1, 2, 3, 4, 5]}
+    _passed(7, "the rows correlating most with demod(S) are exactly S on 1000 "
+               "seeded subsets per size, N = 1..15; a copied row is caught")
 
 
 def test_criterion_08_all_zero_unreachable():

@@ -122,31 +122,49 @@ class TestBytesLoader:
             return type(exc), str(exc)
         return cb.n_stations, cb.matrix().shape, cb.matrix().tobytes()
 
+    @staticmethod
+    def text_outcome(data):
+        return TestBytesLoader.outcome(
+            lambda d: cc.parse_codebook(d.decode("ascii")), data)
+
+    @staticmethod
+    def encode_result(data):
+        """encode --station 1's (exit code, stdout, stderr) for a document."""
+        try:
+            cb = cc.parse_codebook(data.decode("ascii"))
+        except ValueError as exc:
+            return 2, "", f"error: {exc}\n"
+        return 0, cc.bits_to_str(cc.codeword_for(cb, 1)) + "\n", ""
+
     def test_file_parse_matches_text_parse(self, tmp_path):
         path = tmp_path / "cb.txt"
         kinds = set()
         for data in self.corpus():
             path.write_bytes(data)
-            expected = self.outcome(
-                lambda d: cc.parse_codebook(d.decode("ascii")), data)
+            expected = self.text_outcome(data)
             assert self.outcome(cli._load_codebook, str(path)) == expected, data
             kinds.add(expected[0] if isinstance(expected[0], type) else "ok")
         assert kinds == {"ok", UnicodeDecodeError, cc.FormatError,
                          cc.InvariantError}
 
+    def test_stdin_parse_matches_text_parse(self, monkeypatch):
+        for data in self.corpus():
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert (self.outcome(cli._load_codebook, "-")
+                    == self.text_outcome(data)), data
+
     def test_cli_matches_text_parse(self, capsys, tmp_path):
         path = tmp_path / "cb.txt"
         for data in self.corpus():
             path.write_bytes(data)
-            try:
-                cb = cc.parse_codebook(data.decode("ascii"))
-            except ValueError as exc:
-                expected = (2, "", f"error: {exc}\n")
-            else:
-                expected = (0, cc.bits_to_str(cc.codeword_for(cb, 1)) + "\n",
-                            "")
             assert run(capsys, ["encode", "--codebook", str(path),
-                                "--station", "1"]) == expected, data
+                                "--station", "1"]) == self.encode_result(data), data
+
+    def test_cli_stdin_matches_text_parse(self, capsys, monkeypatch):
+        for data in self.corpus():
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert run(capsys, ["encode", "--codebook", "-", "--station",
+                                "1"]) == self.encode_result(data), data
 
     def test_valid_file_is_not_decoded(self, tmp_path, monkeypatch):
         path = tmp_path / "cb.txt"
@@ -155,8 +173,10 @@ class TestBytesLoader:
         def text_parse(doc):
             raise AssertionError("decoded to text")
         monkeypatch.setattr(codebook, "parse_codebook", text_parse)
-        monkeypatch.setattr(cli, "parse_codebook", text_parse)
         assert cli._load_codebook(str(path)) == cached_codebook(9)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+            path.read_bytes())))
+        assert cli._load_codebook("-") == cached_codebook(9)
 
 
 class TestSuperpose:
@@ -319,7 +339,8 @@ class TestPiping:
     def test_stdin_codebook_matches_file(self, capsys, cb3_path, monkeypatch):
         code_file, out_file, _ = run(capsys, ["decode", "--codebook", cb3_path,
                                               "--vector", "010"])
-        monkeypatch.setattr("sys.stdin", io.StringIO(CB3_DOC))
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(CB3_DOC.encode())))
         code_pipe, out_pipe, _ = run(capsys, ["decode", "--codebook", "-",
                                               "--vector", "010"])
         assert (code_file, out_file) == (code_pipe, out_pipe)
@@ -391,6 +412,14 @@ class TestVerify:
             assert payload[check] == {
                 "skipped": "n_rows=7 exceeds the default budget of 6"}
         assert payload["lemmas"]["failures"] == []
+
+    @pytest.mark.parametrize("check", ["claims", "all"])
+    def test_over_budget_claims_is_usage_error(self, capsys, check):
+        code, out, err = run(capsys, ["verify", "--n", "15", "--check", check,
+                                      "--trials", "1000000"])
+        assert (code, out) == (2, "")
+        assert err == ("error: 1000000 trials of 6435 chips exceed the claims "
+                       "budget of 5200300000 chips\n")
 
     def test_over_budget_single_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify", "--n", "16", "--check",

@@ -1,9 +1,11 @@
 """Chip-sum operations and the exhaustive code checks."""
 
 import functools
+import math
 import subprocess
 import sys
-from itertools import accumulate, combinations
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,14 +34,6 @@ def codebook_from_rows(rows):
     """Codebook built directly, since parse_codebook rejects broken matrices."""
     bits = np.array([[int(c) for c in row] for row in rows], np.uint8)
     return cc.Codebook(len(rows), bits)
-
-
-def small_blocks(monkeypatch, kernel_bytes, draw_trials):
-    """Shrink the additivity kernel's column, trial and draw blocks."""
-    if kernel_bytes:
-        monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
-    if draw_trials:
-        monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
 
 
 def brute_force_uniqueness(rows):
@@ -197,22 +191,28 @@ class TestAdditivity:
             cc.check_additivity(cached_codebook(3), 0, 1)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_draws_match_oracle(self, n):
+    def test_draws_match_oracle(self, n, monkeypatch):
+        """Trials drawn in blocks read the stream of the oracle's one draw."""
         m = cached_codebook(n).n_rows
-        forced = 0
-        for seed, trials in [(0, 300), (1, 7), (2, 1), (3, 120), (4, 64),
-                             (5, 5000)]:
-            masks = verifier._trial_masks(np.random.default_rng(seed), trials, m)
-            assert masks.shape == (trials, 6)
-            draws = list(oracles.additivity_draws(m, trials, seed))
-            for row, (g1, g2, inner, outer, was_forced) in zip(masks.tolist(), draws):
-                ids = [mask_to_ids(mask) for mask in row]
-                assert (ids[0], ids[1], ids[3], ids[5]) == (g1, g2, inner, outer)
-                assert ids[2] == tuple(sorted(g1 + g2))
-                assert ids[4] == tuple(sorted(set(outer) - set(inner)))
-                assert ids[4]  # the nesting is strict
-                forced += was_forced
-        assert forced  # some trials drew an empty outer-only part
+        default_rng, blocks = np.random.default_rng, []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, *args):
+                blocks.append(self.rng.integers(*args))
+                return blocks[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        for draw_trials, trials, seed in [(1, 5, 0), (7, 1, 1), (7, 7, 2),
+                                          (7, 300, 3), (4096, 5000, 4)]:
+            monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
+            blocks.clear()
+            assert cc.check_additivity(cached_codebook(n), trials, seed).ok
+            assert [len(b) for b in blocks[:-1]] == [draw_trials] * (len(blocks) - 1)
+            assert np.array_equal(np.concatenate(blocks),
+                                  default_rng(seed).integers(1, 1 << m, trials))
 
     @pytest.mark.parametrize("trials", [1, 3, 20, 1000, 10 ** 6])
     def test_row_chunks_tile_the_rows(self, trials):
@@ -229,69 +229,62 @@ class TestAdditivity:
         (None, None), (1 << 9, None), (1 << 9, 7)])
     def test_report_matches_oracle(self, n, trials, seed, kernel_bytes,
                                    draw_trials, monkeypatch):
-        small_blocks(monkeypatch, kernel_bytes, draw_trials)
-        cb = cached_codebook(n)
-        drawn = []
-        original = verifier._trial_masks
-        monkeypatch.setattr(verifier, "_trial_masks",
-                            lambda rng, k, m: drawn.append(k) or original(rng, k, m))
-        report = cc.check_additivity(cb, trials, seed)
-        assert sum(drawn) == trials
-        ok, counterexample = oracles.additivity_report(
-            oracles.matrix_rows(cb.n_rows), trials, seed)
-        assert (report.ok, report.counterexample) == (ok, counterexample)
-        assert (report.trials, report.seed) == (trials, seed)
+        """On the canonical rows and, from 3 rows up, with row 1 copied
+        over the last row, where the first failing trial depends on every
+        draw before it."""
+        if kernel_bytes:
+            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+        if draw_trials:
+            monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
+        m = cached_codebook(n).n_rows
+        cases = [oracles.matrix_rows(m)]
+        if m >= 3:
+            cases.append(corrupted_rows(m, 1, m))
+        for rows in cases:
+            report = cc.check_additivity(codebook_from_rows(rows), trials, seed)
+            expected = oracles.claims_report(rows, trials, seed)
+            assert (report.ok, report.counterexample) == expected
+            assert (report.trials, report.seed) == (trials, seed)
+        assert expected[0] == (m < 3)  # the copied row is caught
 
-    @pytest.mark.parametrize("n,trials,seed,kernel_bytes,draw_trials,blocks", [
-        (3, 40, 0, None, None, (0,)), (7, 100, 3, None, None, (0,)),
-        (9, 1000, 2, None, None, (0,)), (9, 300, 5, 1 << 9, None, (0,)),
-        (9, 300, 6, 1 << 9, None, (2,)), (7, 50, 7, 1 << 8, None, (3,)),
-        (9, 300, 8, 1 << 9, None, (-1,)), (9, 300, 9, 1 << 9, None, (1, -1)),
-        (7, 300, 10, None, 5, (0,)), (9, 300, 11, 1 << 9, 6, (2, -1)),
-        # in these two the first failing trial is in the fourth or fifth draw
-        (7, 300, 21, None, 2, (0,)), (9, 300, 57, 1 << 9, 2, (1, -1)),
-        # in these two the difference law is the first to fail
-        (5, 60, 1, None, None, (0,)), (9, 60, 1, 1 << 9, 9, (1, -1))])
-    def test_corrupted_counts_are_reported(self, n, trials, seed, kernel_bytes,
-                                           draw_trials, blocks, monkeypatch):
-        """The first-chunk table of some column blocks counts one extra one
-        for row 1 alone at its middle column. So does the oracle, for every
-        subset whose first-chunk part is exactly row 1."""
-        small_blocks(monkeypatch, kernel_bytes, draw_trials)
-        cb = cached_codebook(n)
-        chunks = verifier._row_chunks(cb.n_rows,
-                                      6 * min(trials, verifier._DRAW_TRIALS))
-        original = verifier.partial_counts
-        calls = []
-        monkeypatch.setattr(verifier, "partial_counts",
-                            lambda rows: calls.append(rows) or original(rows))
-        cc.check_additivity(cb, trials, seed)
-        widths = [rows.shape[1] for rows in calls[::len(chunks)]]
-        n_blocks = list(accumulate(widths)).index(cb.v_length) + 1
-        # every block of trials tiles the matrix with the same column blocks
-        assert widths == widths[:n_blocks] * (len(widths) // n_blocks)
-        widths = widths[:n_blocks]
-        targets = {b % n_blocks for b in blocks}
-        corrupted = {sum(widths[:b]) + widths[b] // 2 + 1 for b in targets}
+    @pytest.mark.parametrize("n_rows,src,dst", [(3, 1, 3), (5, 3, 5), (5, 2, 1),
+                                                (7, 1, 4), (9, 9, 2), (9, 4, 5)])
+    @pytest.mark.parametrize("draw_trials", [None, 3])
+    def test_corrupted_rows_are_reported(self, n_rows, src, dst, draw_trials,
+                                         monkeypatch):
+        if draw_trials:
+            monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
+        rows = corrupted_rows(n_rows, src, dst)
+        report = cc.check_additivity(codebook_from_rows(rows), 50, n_rows)
+        assert not report.ok
+        assert (report.ok, report.counterexample) == oracles.claims_report(
+            rows, 50, n_rows)
 
-        def partial_counts(rows):
-            table = original(rows)
-            block, chunk = divmod(len(calls), len(chunks))
-            if chunk == 0 and block % n_blocks in targets:
-                table[1, len(table[0]) // 2] += 1
-            calls.append(rows)
-            return table
+    @pytest.mark.parametrize("v", [2, 63, 64, 65, 301])
+    @pytest.mark.parametrize("kernel_bytes", [None, 1 << 9])
+    def test_first_and_last_columns_count(self, v, kernel_bytes, monkeypatch):
+        """Row 1 holds its only 1 at the first column and row 2 at the
+        last, so {1} or {2} fails unless every column block is counted."""
+        if kernel_bytes:
+            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+        rows = ["1" + "0" * (v - 1), "0" * (v - 1) + "1"]
+        assert cc.check_additivity(codebook_from_rows(rows), 20, 0).ok
+        report = cc.check_additivity(codebook_from_rows(rows[:1] + ["0" * v]), 20, 0)
+        assert report.counterexample == {"rows": [2], "top": [1, 2]}
 
-        calls.clear()
-        monkeypatch.setattr(verifier, "partial_counts", partial_counts)
-        report = cc.check_additivity(cb, trials, seed)
-        first_chunk = (1 << chunks[0][1]) - 1
-        ok, expected = oracles.additivity_report(
-            oracles.matrix_rows(cb.n_rows), trials, seed,
-            lambda subset, col: int(col in corrupted and
-                                    ids_to_mask(subset) & first_chunk == 1))
-        assert not ok and not report.ok
-        assert report.counterexample == expected
+    def test_budget_refuses_before_any_draw(self, monkeypatch):
+        """At the 25-station cap the default 1000 trials are the budget;
+        one more is refused before a generator or the matrix is touched."""
+        v = math.comb(25, 13)
+        cb = SimpleNamespace(n_rows=25, v_length=v, matrix=None)
+
+        def no_draws(seed):
+            raise LookupError("drew")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(cc.SizeLimitError, match="exceed the claims budget"):
+            cc.check_additivity(cb, 1001, 0)
+        with pytest.raises(LookupError):
+            cc.check_additivity(cb, 1000, 0)
 
 
 class TestUniqueness:
