@@ -11,10 +11,12 @@ nearest search.
 Subset masks use bit i for row i+1. Yielded count buffers are reused
 between iterations; copy them if they must outlive the loop body.
 
-The verifier no longer walks these generators: it gathers counts from
-`partial_counts` tables a tile of columns at a time. `demod_blocks` and
-`count_blocks` remain the full-width enumeration that tests use as a
-reference and that perfbench's subset-throughput metrics time.
+Only `count_blocks` and a test call `partial_counts`, and only tests and
+perfbench walk `count_blocks` and `demod_blocks`: the verifier forms its
+chip sums by matmul, and the decoder's pruned nearest search uses just
+`split_rows`. The two generators remain the full-width enumeration that
+tests use as a reference and that perfbench's subset-throughput metrics
+time.
 """
 
 import numpy as np

@@ -132,17 +132,20 @@ def cmd_verify(args) -> int:
     budgets = {"uniqueness": verifier.UNIQUENESS_BUDGET_ROWS,
                "lemmas": verifier.WITNESS_SWEEP_BUDGET_ROWS,
                "zero": verifier.UNIQUENESS_BUDGET_ROWS}
-    out: dict = {"n": cb.n_rows}
-    all_ok = True
-    for check in ("uniqueness", "lemmas", "claims", "zero"):
+    results = {}
+    # claims runs first, so an over-budget --trials is refused before any
+    # enumeration; the keys are printed in their fixed order below
+    for check in ("claims", "uniqueness", "lemmas", "zero"):
         budget = budgets.get(check)
         if budget is not None and cb.n_rows > budget:
-            out[check] = {"skipped": f"n_rows={cb.n_rows} exceeds the "
-                                     f"default budget of {budget}"}
-            continue
-        section, ok = _verify_section(check, cb, args)
-        out[check] = section
-        all_ok = all_ok and ok
+            results[check] = ({"skipped": f"n_rows={cb.n_rows} exceeds the "
+                                          f"default budget of {budget}"}, True)
+        else:
+            results[check] = _verify_section(check, cb, args)
+    out = {"n": cb.n_rows}
+    out.update((check, results[check][0])
+               for check in ("uniqueness", "lemmas", "claims", "zero"))
+    all_ok = all(ok for _, ok in results.values())
     out["ok"] = all_ok
     print(json.dumps(out))
     return 0 if all_ok else 1

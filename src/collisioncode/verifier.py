@@ -11,23 +11,25 @@ or seeded trials rather than by trust, the facts the decoder relies on:
 * distinct non-empty subsets demodulate to distinct vectors;
 * no non-empty subset demodulates to the all-zero vector.
 
+Every check forms chip sums one way: those of a block of subsets at a
+block of columns are one float32 matmul of the subsets' 0/1 membership
+rows (`_membership`) and the +1/-1 amplitudes of those columns
+(`_signed`), exact since |sum| <= 25, and demod(S) is the positive sums.
 `check_additivity` (named for the chip-sum identities it used to test)
-counts the ones of its trial subsets with one float32 matmul per block of
-columns and adds each row's correlation with demod(S) with a second. The
-other three facts are enumerated over every row subset, whose ones are
-gathered from `partial_counts` tables of the counts of every subset of a
-small chunk of rows: a subset's counts are the sum of one row per chunk.
+forms demod(S) so for its trial subsets, a block of columns at a time,
+and adds each row's signed correlation with it by a second matmul with
+the same block. The other three facts are enumerated over every row
+subset, reading the sums from `_chip_sums`:
 
 * the three enumerations visit the columns in tiles of 64, spread over
   the whole codeword (`_column_tiles`), and count a tile only for the
   subsets that the earlier tiles left unresolved. On the canonical codes
   of up to 15 stations the first tile resolves all but at most four
   subsets, and the second the rest;
-* `sweep_witnesses` drops a subset once a tile holds its witness count;
+* `sweep_witnesses` drops a subset once a tile holds its witness sum;
   the subsets no tile drops are the failures;
-* `verify_no_zero_vector` drops a subset once a tile holds a column
-  count that reaches its majority; a subset that survives every tile
-  demodulates to all zeros;
+* `verify_no_zero_vector` drops a subset once a tile holds a positive
+  chip sum; a subset that survives every tile demodulates to all zeros;
 * `verify_uniqueness` refines an exact partition of the subsets: each
   tile packs a subset's demodulated bits into one uint64 word, groups
   split on it and singletons leave. The groups left after the last tile
@@ -46,12 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._subsets import DEFAULT_LO_BITS, mask_to_ids, partial_counts
+from ._subsets import mask_to_ids
 from .codebook import Codebook, SizeLimitError, bits_to_str
 
 UNIQUENESS_BUDGET_ROWS = 15
 WITNESS_SWEEP_BUDGET_ROWS = 11
-_KERNEL_BYTES = 1 << 20  # tables, counts or a matrix block of one kernel step
+_KERNEL_BYTES = 1 << 20  # chip sums or a matrix block of one kernel step
 _TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
 _DRAW_TRIALS = 1 << 12  # claims trials drawn and checked at once
 # trial chips (trials times V) of one claims run: the default 1000 trials
@@ -199,22 +201,6 @@ def find_zero_sum_column(cb: Codebook, rows) -> WitnessReport:
     return _find_witness(cb, rows, 0)
 
 
-def _row_chunks(m: int, gathers: int) -> list[tuple[int, int]]:
-    """Row ranges of the partial-count tables for `gathers` subsets.
-
-    Per column, k balanced chunks cost their table rows (sum of 2^size)
-    plus one gathered row per chunk for each subset; take the cheapest k
-    whose chunks hold at most DEFAULT_LO_BITS rows.
-    """
-    def sizes(k: int) -> list[int]:
-        return [m // k + (i < m % k) for i in range(k)]
-
-    best = min(range(-(-m // DEFAULT_LO_BITS), m + 1),
-               key=lambda k: sum(1 << s for s in sizes(k)) + gathers * k)
-    stops = itertools.accumulate(sizes(best))
-    return [(stop - size, stop) for size, stop in zip(sizes(best), stops)]
-
-
 def _column_tiles(v: int) -> list[np.ndarray]:
     """0-based columns of each of the ceil(v / 64) tiles of a v-column matrix.
 
@@ -225,58 +211,48 @@ def _column_tiles(v: int) -> list[np.ndarray]:
     return [np.arange(t, v, n_tiles) for t in range(n_tiles)]
 
 
-def _gather_counts(tables: list[np.ndarray], chunks: list[tuple[int, int]],
-                   masks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the int8 column counts of the subsets `masks` into `out`.
+def _membership(masks: np.ndarray, m: int) -> np.ndarray:
+    """float32 0/1 membership rows: entry [i, r] is bit r of masks[i]."""
+    octets = masks.astype("<u8").view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float32)
 
-    Per row chunk (a, b), the mask's bits a..b-1 select a row of that
-    chunk's `partial_counts` table (always in range, so "clip" never
-    clips), and a subset's counts are the sum of its rows. `out` and
-    `scratch` have shape masks.shape + (width,). Callers reuse them block
-    after block: fresh megabyte arrays are handed back to the system when
-    freed and page-faulted in again, which costs more than the gather.
+
+def _signed(matrix: np.ndarray, cols) -> np.ndarray:
+    """The float32 +1/-1 amplitudes 2 * matrix[:, cols] - 1 of a column block."""
+    block = matrix[:, cols].astype(np.float32)
+    block *= 2
+    block -= 1
+    return block
+
+
+def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
+    """Yield (sl, sums): the chip sums at `cols` of the subsets masks[sl],
+    a slice at a time so that each float32 block of sums stays within
+    _KERNEL_BYTES.
+
+    sums[i, c] = 2 * ones - |S| is the product of subset i's membership
+    row and the +1/-1 block, exact in float32, and demod(S) is sums > 0.
     """
-    (a, b), *rest = chunks
-    np.take(tables[0], masks >> a & ((1 << (b - a)) - 1), axis=0, out=out,
-            mode="clip")
-    for table, (a, b) in zip(tables[1:], rest):
-        np.take(table, masks >> a & ((1 << (b - a)) - 1), axis=0, out=scratch,
-                mode="clip")
-        out += scratch
-
-
-def _tile_counts(matrix: np.ndarray, cols: np.ndarray, live: np.ndarray):
-    """Yield (sl, ones, sizes): column counts at `cols` of the subsets
-    live[sl], and their sizes as an int8 column, a slice at a time so that
-    each block of counts stays within _KERNEL_BYTES. The counts buffer is
-    reused between iterations."""
-    chunks = _row_chunks(len(matrix), len(live))
-    block = matrix[:, cols].astype(np.int8)
-    tables = [partial_counts(block[a:b]) for a, b in chunks]
-    step = max(1, min(len(live), _KERNEL_BYTES // len(cols)))
-    shape = (step, len(cols))
-    ones, scratch = np.empty(shape, np.int8), np.empty(shape, np.int8)
-    for lo in range(0, len(live), step):
-        masks = live[lo:lo + step]
-        k = len(masks)
-        _gather_counts(tables, chunks, masks, ones[:k], scratch[:k])
-        sizes = np.bitwise_count(masks).astype(np.int8)[:, None]
-        yield slice(lo, lo + k), ones[:k], sizes
+    signed = _signed(matrix, cols)
+    step = max(1, _KERNEL_BYTES // (4 * signed.shape[1]))
+    for lo in range(0, len(masks), step):
+        sl = slice(lo, min(lo + step, len(masks)))
+        yield sl, _membership(masks[sl], len(matrix)) @ signed
 
 
 def _unsettled(matrix: np.ndarray, live: np.ndarray, settles) -> np.ndarray:
     """The subset masks of `live` that no column of `matrix` settles.
 
-    settles(ones, sizes) marks the subsets whose counts on one tile settle
-    them. Tiles are visited in order and each counts only the subsets that
-    every earlier tile left unsettled.
+    settles(sums, masks) marks the subsets whose chip sums on one tile
+    settle them. Tiles are visited in order and each counts only the
+    subsets that every earlier tile left unsettled.
     """
     for cols in _column_tiles(matrix.shape[1]):
         if not live.size:
             break
         keep = np.empty(len(live), bool)
-        for sl, ones, sizes in _tile_counts(matrix, cols, live):
-            keep[sl] = ~settles(ones, sizes)
+        for sl, sums in _chip_sums(matrix, cols, live):
+            keep[sl] = ~settles(sums, live[sl])
         live = live[keep]
     return live
 
@@ -298,8 +274,8 @@ def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
         if not live.size:
             break
         words = np.zeros((len(live), 8), np.uint8)
-        for sl, ones, sizes in _tile_counts(matrix, cols, live):
-            words[sl, :-(-len(cols) // 8)] = np.packbits(ones > sizes // 2, axis=1)
+        for sl, sums in _chip_sums(matrix, cols, live):
+            words[sl, :-(-len(cols) // 8)] = np.packbits(sums > 0, axis=1)
         words = words.view(np.uint64).ravel()
         lead = np.empty(len(live), bool)  # first subset of its group
         lead[0] = True
@@ -320,16 +296,16 @@ def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
 def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
     """The demodulated vector of each subset in `masks`, as a string.
 
-    Columns are taken in blocks narrow enough that the largest
-    partial-count tables stay within _KERNEL_BYTES.
+    Columns are taken in blocks narrow enough that a block of chip sums
+    holds 64 subsets.
     """
     v = matrix.shape[1]
-    width = max(1, _KERNEL_BYTES >> DEFAULT_LO_BITS)
+    width = max(1, _KERNEL_BYTES >> 8)
     blocks = []
     for c0 in range(0, v, width):
         cols = np.arange(c0, min(c0 + width, v))
-        text = "".join(bits_to_str(ones > sizes // 2)
-                       for _, ones, sizes in _tile_counts(matrix, cols, masks))
+        text = "".join(bits_to_str(sums > 0)
+                       for _, sums in _chip_sums(matrix, cols, masks))
         blocks.append([text[i:i + len(cols)] for i in range(0, len(text), len(cols))])
     return ["".join(parts) for parts in zip(*blocks)]
 
@@ -342,16 +318,19 @@ def _check_budget(m: int, budget: int, name: str) -> None:
 def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
     """Check witness existence for every proper non-empty row subset.
 
-    For subset size g the witness condition (+1 for odd g, 0 for even g)
-    is equivalent to some column holding exactly floor((g+1)/2) ones over
-    the subset. A subset is settled by the first tile holding such a
-    column, and the subsets that no tile settles are the failures.
+    For subset size g the witness is a column whose chip sum is g % 2
+    (+1 for odd g, 0 for even g), that is, a column holding exactly
+    floor((g+1)/2) ones over the subset. A subset is settled by the first
+    tile holding such a column, and the subsets that no tile settles are
+    the failures.
     """
+    def settles(sums, masks):
+        return (sums == (np.bitwise_count(masks) & 1)[:, None]).any(axis=1)
+
     m = cb.n_rows
     _check_budget(m, WITNESS_SWEEP_BUDGET_ROWS, "witness sweep")
     t0 = time.perf_counter()
-    unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1),
-                           lambda ones, sizes: (ones == (sizes + 1) // 2).any(axis=1))
+    unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1), settles)
     failures = sorted(mask_to_ids(mask) for mask in unsettled.tolist())
     return WitnessSweepReport(m, max(2 ** m - 2, 0), failures,
                               time.perf_counter() - t0)
@@ -366,6 +345,9 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     demod(S) are both 1) to be exactly S. The first failing trial is the
     counterexample: its rows and the rows of maximal correlation.
 
+    Per column block, demod(S) is the positive chip sums of S's membership
+    row times the +1/-1 block, and each row's signed correlation with it,
+    2 * (shared ones) - |demod(S)|, ranks the rows as the shared ones do.
     float32 matmuls are exact here: no value exceeds V <= C(25, 13) <
     2^24. Trials are drawn and checked _DRAW_TRIALS at a time, which reads
     the same stream as one draw, so memory does not grow with `trials`.
@@ -380,15 +362,14 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     rng = np.random.default_rng(seed)
     for t0 in range(0, trials, _DRAW_TRIALS):
         masks = rng.integers(1, 1 << m, min(_DRAW_TRIALS, trials - t0))
-        member = (masks[:, None] >> np.arange(m) & 1).astype(np.float32)
-        half = member.sum(axis=1, keepdims=True) // 2
+        member = _membership(masks, m)
         corr = np.zeros((len(masks), m), np.float32)
         width = max(1, _KERNEL_BYTES // (4 * max(len(masks), m)))
         for c0 in range(0, v, width):
-            block = cb.matrix()[:, c0:c0 + width].astype(np.float32)
-            counts = member @ block
-            np.greater(counts, half, out=counts)  # demod(S), as 0.0 / 1.0
-            corr += counts @ block.T
+            signed = _signed(cb.matrix(), slice(c0, c0 + width))
+            demod = member @ signed
+            np.greater(demod, 0, out=demod)  # demod(S), as 0.0 / 1.0
+            corr += demod @ signed.T
         top = corr == corr.max(axis=1, keepdims=True)
         failed = np.flatnonzero((top != (member == 1)).any(axis=1))
         if failed.size:
@@ -428,11 +409,11 @@ def verify_uniqueness(cb: Codebook, workers: int = 1) -> UniquenessReport:
 def verify_no_zero_vector(cb: Codebook) -> bool:
     """True when no non-empty row subset demodulates to the all-zero vector.
 
-    A subset demodulates to all zeros exactly when no column count reaches
-    its majority size // 2 + 1, so a subset is settled by the first tile
-    holding such a column; the check fails only if one survives every tile.
+    A subset demodulates to all zeros exactly when none of its chip sums
+    is positive, so a subset is settled by the first tile holding a
+    positive sum; the check fails only if one survives every tile.
     """
     m = cb.n_rows
     _check_budget(m, UNIQUENESS_BUDGET_ROWS, "uniqueness")
     return not _unsettled(cb.matrix(), np.arange(1, 1 << m),
-                          lambda ones, sizes: (ones > sizes // 2).any(axis=1)).size
+                          lambda sums, _: (sums > 0).any(axis=1)).size

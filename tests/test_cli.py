@@ -421,6 +421,19 @@ class TestVerify:
         assert err == ("error: 1000000 trials of 6435 chips exceed the claims "
                        "budget of 5200300000 chips\n")
 
+    @pytest.mark.parametrize("check", ["verify_uniqueness", "sweep_witnesses",
+                                       "verify_no_zero_vector"])
+    def test_over_budget_claims_refused_before_enumeration(self, capsys,
+                                                           monkeypatch, check):
+        def enumerated(*args, **kwargs):
+            raise AssertionError(f"{check} ran")
+        monkeypatch.setattr(verifier, check, enumerated)
+        code, out, err = run(capsys, ["verify", "--n", "11", "--check", "all",
+                                      "--trials", "100000000"])
+        assert (code, out) == (2, "")
+        assert err == ("error: 100000000 trials of 462 chips exceed the claims "
+                       "budget of 5200300000 chips\n")
+
     def test_over_budget_single_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify", "--n", "16", "--check",
                                     "uniqueness"])

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
 from collisioncode import verifier
-from collisioncode._subsets import (DEFAULT_LO_BITS, demod_blocks, ids_to_mask,
-                                   mask_to_ids, partial_counts)
+from collisioncode._subsets import (demod_blocks, ids_to_mask, mask_to_ids,
+                                   partial_counts)
 from conftest import cached_codebook
 import oracles
 
@@ -213,14 +213,6 @@ class TestAdditivity:
             assert [len(b) for b in blocks[:-1]] == [draw_trials] * (len(blocks) - 1)
             assert np.array_equal(np.concatenate(blocks),
                                   default_rng(seed).integers(1, 1 << m, trials))
-
-    @pytest.mark.parametrize("trials", [1, 3, 20, 1000, 10 ** 6])
-    def test_row_chunks_tile_the_rows(self, trials):
-        for m in range(1, 26):
-            chunks = verifier._row_chunks(m, trials)
-            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
-            assert chunks[-1][1] == m
-            assert all(1 <= b - a <= DEFAULT_LO_BITS for a, b in chunks)
 
     @pytest.mark.parametrize("n,trials,seed", [(1, 30, 0), (2, 40, 1),
                                                (5, 60, 2), (8, 25, 3),
@@ -480,6 +472,55 @@ class TestTileRefinement:
         failures = cc.sweep_witnesses(cb).failures
         assert failures == oracles.witness_failures(rows)
         assert ((1,) in failures) == (not one)
+
+
+class TestChipSums:
+    """The one count kernel against the pure-Python chip sums."""
+
+    @staticmethod
+    def kernel_sums(matrix, cols, masks):
+        """Every yielded block, checked to tile the masks in order."""
+        sums, stop = [], 0
+        for sl, block in verifier._chip_sums(matrix, cols, masks):
+            assert sl.start == stop and block.dtype == np.float32
+            assert block.shape == (sl.stop - sl.start, len(cols))
+            assert block.nbytes <= max(verifier._KERNEL_BYTES, 4 * len(cols))
+            stop = sl.stop
+            sums += block.tolist()
+        assert stop == len(masks)
+        return sums
+
+    @staticmethod
+    def oracle_sums(rows, cols, masks):
+        return [[oracles.chip_sum(rows, mask_to_ids(mask), c + 1) for c in cols]
+                for mask in masks]
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("kernel_bytes", [None, 200, 1 << 9])
+    def test_random_matrices_match_oracle(self, seed, kernel_bytes, monkeypatch):
+        """kernel_bytes=200 yields one subset a block, 512 a few."""
+        if kernel_bytes:
+            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 12))
+        v = int(rng.choice([1, 2, 63, 64, 65, 130]))
+        rows = random_rows(rng, m, v)
+        cols = verifier._column_tiles(v)[int(rng.integers(-(-v // 64)))]
+        masks = np.concatenate([[1, (1 << m) - 1], rng.integers(1, 1 << m, 40)])
+        assert (self.kernel_sums(codebook_from_rows(rows).matrix(), cols, masks)
+                == self.oracle_sums(rows, cols.tolist(), masks.tolist()))
+
+    def test_sampled_columns_at_the_cap(self):
+        """200 columns of the 25-row code: every |sum| is at most 25."""
+        cb = cc.build_codebook(25)
+        rng = np.random.default_rng(25)
+        cols = np.sort(rng.choice(cb.v_length, 200, replace=False))
+        rows = ["".join(map(str, row)) for row in cb.matrix()[:, cols].tolist()]
+        masks = np.concatenate([[1, 1 << 24, (1 << 25) - 1],
+                                rng.integers(1, 1 << 25, 60)])
+        sums = self.kernel_sums(cb.matrix(), cols, masks)
+        assert sums == self.oracle_sums(rows, range(200), masks.tolist())
+        assert sums[2] == [1] * 200  # all 25 rows: 13 ones, 12 zeros
 
 
 def test_import_leaves_numpy_random_unloaded():
