@@ -58,11 +58,14 @@ def superpose(cb: Codebook, stations) -> AmplitudeProfile:
     The empty subset (silence) yields the all-zero profile.
     """
     idx = _station_indices(cb, stations)
-    if not idx:
-        sums = np.zeros(cb.v_length, np.int16)
-    else:
-        ones = cb.matrix()[idx].sum(axis=0, dtype=np.int16)
-        sums = 2 * ones - np.int16(len(idx))
+    # the ones of each column, added row by row in place in the narrowest
+    # type that holds len(idx), then 2 * ones - len(idx) in int16
+    m = cb.matrix()
+    ones = np.zeros(cb.v_length, np.min_scalar_type(len(idx)))
+    for i in idx:
+        np.add(ones, m[i], out=ones)
+    sums = np.multiply(ones, 2, dtype=np.int16)
+    sums -= len(idx)
     sums.flags.writeable = False
     return AmplitudeProfile(sums)
 

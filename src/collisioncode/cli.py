@@ -8,6 +8,7 @@ error.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,11 +22,19 @@ from .codebook import (FormatError, InvariantError, SizeLimitError,
 
 def _load_codebook(path: str):
     # bytes, not text mode, so CR bytes reach the parser instead of being
-    # folded into newlines, and a pipe fails as the same file would
+    # folded into newlines, and a pipe fails as the same file would. A
+    # file is read into one numpy buffer of its size, which the parser
+    # reads the rows from without copying; whatever a pipe, or a file
+    # that changed size, holds beyond that is read to EOF and appended
     if path == "-":
         return _parse_bytes(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
-        return _parse_bytes(fh.read())
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        got = fh.readinto(buf)
+        rest = fh.read()
+    if got == len(buf) and not rest:
+        return _parse_bytes(buf)
+    return _parse_bytes(buf[:got].tobytes() + rest)
 
 
 def _parse_stations(text: str) -> frozenset[int]:
@@ -68,10 +77,12 @@ def cmd_superpose(args) -> int:
         return 0
     profile = channel.superpose(cb, stations)
     bits = bits_to_str(channel.demodulate(profile))
-    # json.dumps(out | {"sums": sums.tolist(), "bits": bits}), spelled out
-    # so the V sums never become a list of Python ints
-    print(f'{json.dumps(out)[:-1]}, "sums": '
-          f'{_json_int_list(profile.sums, len(stations))}, "bits": "{bits}"}}')
+    # json.dumps(out | {"sums": sums.tolist(), "bits": bits}) and LF,
+    # written in pieces so the V sums never become a list of Python ints
+    # and the sums are never copied into one line
+    sys.stdout.write(f'{json.dumps(out)[:-1]}, "sums": ')
+    sys.stdout.write(_json_int_list(profile.sums, len(stations)))
+    sys.stdout.write(f', "bits": "{bits}"}}\n')
     return 0
 
 
@@ -80,8 +91,8 @@ def _json_int_list(values, bound: int) -> str:
     # one fixed-width, NUL-padded "<v>, " token per value, looked up as a
     # block; dropping the padding and the last ", " leaves the JSON list
     table = np.array([f"{v}, ".encode() for v in range(-bound, bound + 1)])
-    chars = table[values + bound].view(np.uint8)
-    return f"[{chars[chars != 0].tobytes()[:-2].decode('ascii')}]"
+    chars = table.take(values + bound).tobytes().translate(None, b"\0")
+    return f"[{str(memoryview(chars)[:-2], 'ascii')}]"
 
 
 def cmd_decode(args) -> int:

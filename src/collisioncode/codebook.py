@@ -20,11 +20,12 @@ array whose last column is LF. Serializing fills that array;
 `serialize_codebook` decodes it to text and `gen --out` writes its bytes.
 Parsing reads the rows off the image in one pass, and splits the document
 into lines only to name the first fault of a malformed one; it then
-re-validates the matrix through its column values. The CLI parses a
-codebook file from its bytes without decoding it to text; any document
-that does not parse whole that way is decoded and given to
-`parse_codebook`, so every error and its order are those of the text
-parser.
+re-validates the matrix through its column values. The CLI reads a
+codebook file into one uint8 buffer and parses it from those bytes
+without decoding it to text: the header line is found in a short prefix,
+so the body is not copied before its rows are read. Any document that
+does not parse whole that way is decoded and given to `parse_codebook`,
+so every error and its order are those of the text parser.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -46,6 +47,9 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
+# bytes searched for the header's LF by the bytes parser: far more than a
+# header within the cap needs, unless its numbers carry leading zeros
+_HEAD_BYTES = 4096
 
 
 class SizeLimitError(ValueError):
@@ -209,23 +213,30 @@ def parse_codebook(doc: str) -> Codebook:
     return Codebook(n, bits)
 
 
-def _parse_bytes(data: bytes) -> Codebook:
-    """parse_codebook(data.decode("ascii")), without decoding a document
-    whose header is valid and whose rows read as one byte image.
+def _parse_bytes(data: bytes | np.ndarray) -> Codebook:
+    """parse_codebook(bytes(data).decode("ascii")) of a document given as
+    bytes or a uint8 array, without decoding a document whose header is
+    valid and whose rows read as one byte image.
 
     Every other document goes through that call, so it fails with the
     same error, in the same order: a non-ASCII byte anywhere raises the
-    decode error before any header or row error.
+    decode error before any header or row error. The header is looked
+    for in the first _HEAD_BYTES only, so the body is never copied; a
+    longer header line takes that call too.
     """
-    head = data.partition(b"\n")[0]
-    try:
-        n, n_rows, r, v = _header_fields(head.decode("ascii"))
-    except (UnicodeDecodeError, FormatError, InvariantError, SizeLimitError):
-        bits = None
-    else:
-        bits = _image_bits(data, len(head) + 1, n_rows, v)
+    prefix = bytes(data[:_HEAD_BYTES])
+    end = prefix.find(b"\n")
+    bits = None
+    if end >= 0:
+        try:
+            n, n_rows, r, v = _header_fields(prefix[:end].decode("ascii"))
+        except (UnicodeDecodeError, FormatError, InvariantError,
+                SizeLimitError):
+            pass
+        else:
+            bits = _image_bits(data, end + 1, n_rows, v)
     if bits is None:
-        return parse_codebook(data.decode("ascii"))
+        return parse_codebook(bytes(data).decode("ascii"))
     _validate_matrix(bits, n_rows, r, v)
     return Codebook(n, bits)
 
@@ -253,7 +264,7 @@ def _header_fields(head: str) -> tuple[int, int, int, int]:
     return n, n_rows, r, v
 
 
-def _image_bits(data: bytes, start: int, n_rows: int,
+def _image_bits(data: bytes | np.ndarray, start: int, n_rows: int,
                 v: int) -> np.ndarray | None:
     """The (n_rows, v) matrix read off the document's bytes in one pass.
 

@@ -232,12 +232,17 @@ def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
 
     sums[i, c] = 2 * ones - |S| is the product of subset i's membership
     row and the +1/-1 block, exact in float32, and demod(S) is sums > 0.
+    Every step writes into one buffer, so a block is only valid until the
+    next one is drawn.
     """
     signed = _signed(matrix, cols)
     step = max(1, _KERNEL_BYTES // (4 * signed.shape[1]))
+    buf = np.empty((min(step, len(masks)), signed.shape[1]), np.float32)
     for lo in range(0, len(masks), step):
         sl = slice(lo, min(lo + step, len(masks)))
-        yield sl, _membership(masks[sl], len(matrix)) @ signed
+        sums = buf[:sl.stop - lo]
+        np.matmul(_membership(masks[sl], len(matrix)), signed, out=sums)
+        yield sl, sums
 
 
 def _unsettled(matrix: np.ndarray, live: np.ndarray, settles) -> np.ndarray:

@@ -139,6 +139,33 @@ class TestSuperpose:
                     for c in range(cb.v_length)]
         assert cc.superpose(cb, subset).sums.tolist() == expected
 
+    def test_all_stations_at_the_cap_match_oracle(self):
+        """All 25 stations: the oracle's sums on sampled columns, and +1
+        at every column (13 ones and 12 zeros)."""
+        cb = cc.build_codebook(25)
+        sums = cc.superpose(cb, range(1, 26)).sums
+        assert sums.dtype == np.int16 and sums.shape == (cb.v_length,)
+        rng = np.random.default_rng(25)
+        cols = np.concatenate([[0, cb.v_length - 1],
+                               np.sort(rng.choice(cb.v_length, 200, replace=False))])
+        rows = ["".join(map(str, row)) for row in cb.matrix()[:, cols].tolist()]
+        assert sums[cols].tolist() == [oracles.chip_sum(rows, range(1, 26), c + 1)
+                                       for c in range(len(cols))]
+        assert (sums == 1).all()
+
+    @pytest.mark.parametrize("n_stations", [255, 256, 300])
+    def test_more_stations_than_a_byte_holds(self, n_stations):
+        """Codebook accepts any 0/1 matrix, so the ones count of a column
+        may exceed 255."""
+        rng = np.random.default_rng(n_stations)
+        bits = rng.integers(0, 2, (n_stations, 40), dtype=np.uint8)
+        bits[:, 0] = 1
+        bits[:, 1] = 0
+        sums = cc.superpose(cc.Codebook(n_stations, bits), range(1, n_stations + 1)).sums
+        assert sums.dtype == np.int16
+        assert sums.tolist() == (2 * bits.astype(np.int64) - 1).sum(axis=0).tolist()
+        assert sums[0] == n_stations and sums[1] == -n_stations
+
 
 class TestDemodulate:
     def test_known_vectors(self):

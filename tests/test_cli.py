@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -178,6 +181,88 @@ class TestBytesLoader:
             path.read_bytes())))
         assert cli._load_codebook("-") == cached_codebook(9)
 
+    def test_array_parse_matches_bytes_parse(self):
+        for data in self.corpus():
+            buf = np.frombuffer(data, np.uint8).copy()
+            assert (self.outcome(codebook._parse_bytes, buf)
+                    == self.outcome(codebook._parse_bytes, data)), data
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_header_longer_than_the_searched_prefix(self, tmp_path, extra):
+        """Leading zeros make a valid header line as long as asked; one
+        whose LF lies beyond the searched prefix parses all the same."""
+        doc = cc.serialize_codebook(cached_codebook(3))
+        head = doc[:doc.index("\n")]
+        pad = codebook._HEAD_BYTES - len(head) + extra
+        padded = doc.replace("N=3", "N=" + "0" * pad + "3", 1).encode()
+        assert padded.index(b"\n") == codebook._HEAD_BYTES + extra
+        path = tmp_path / "cb.txt"
+        path.write_bytes(padded)
+        expected = self.text_outcome(padded)
+        assert expected == self.outcome(cc.parse_codebook, doc)
+        assert self.outcome(cli._load_codebook, str(path)) == expected
+
+
+class TestLoaderSources:
+    """A FIFO, or a file whose size changes while it is read, loads as
+    its bytes parse: the same codebook, or the same error and exit 2."""
+
+    @staticmethod
+    def documents():
+        doc = cc.serialize_codebook(cached_codebook(5)).encode()
+        return {"canonical": doc, "crlf": doc.replace(b"\n", b"\r\n"),
+                "truncated": doc[:len(doc) // 2]}
+
+    @staticmethod
+    def through_fifo(tmp_path, data, load):
+        """load(path) of a FIFO that a writer thread fills with data."""
+        fifo = tmp_path / "cb.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            return load(str(fifo))
+        finally:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            fifo.unlink()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("kind", ["canonical", "crlf", "truncated"])
+    def test_fifo_loads_as_its_bytes_parse(self, capsys, tmp_path, kind):
+        data = self.documents()[kind]
+        path = tmp_path / "cb.txt"
+        path.write_bytes(data)
+        expected = TestBytesLoader.outcome(codebook._parse_bytes,
+                                           path.read_bytes())
+        assert TestBytesLoader.outcome(cli._load_codebook, str(path)) == expected
+        assert self.through_fifo(tmp_path, data, lambda p: TestBytesLoader.outcome(
+            cli._load_codebook, p)) == expected
+        argv = ["encode", "--station", "1", "--codebook"]
+        from_file = run(capsys, [*argv, str(path)])
+        assert from_file[0] == (0 if kind == "canonical" else 2)
+        assert self.through_fifo(
+            tmp_path, data, lambda p: run(capsys, [*argv, p])) == from_file
+
+    @pytest.mark.parametrize("kind", ["canonical", "crlf", "truncated"])
+    @pytest.mark.parametrize("shift", [-7, -1, 1, 7])
+    def test_size_changed_during_read(self, tmp_path, monkeypatch, kind,
+                                      shift):
+        """fstat reporting fewer bytes than the file holds (it grew) or
+        more (it shrank) still loads the whole file."""
+        data = self.documents()[kind]
+        path = tmp_path / "cb.txt"
+        path.write_bytes(data)
+        expected = TestBytesLoader.outcome(codebook._parse_bytes, data)
+        size = len(data) + shift
+        monkeypatch.setattr(cli, "os", types.SimpleNamespace(
+            fstat=lambda fd: types.SimpleNamespace(st_size=size)))
+        assert TestBytesLoader.outcome(cli._load_codebook, str(path)) == expected
+
 
 class TestSuperpose:
     def test_ideal_profile(self, capsys, cb3_path):
@@ -238,6 +323,25 @@ class TestSuperposeBytes:
                 "stations": stations, "v": cb.v_length,
                 "sums": profile.sums.tolist(),
                 "bits": cc.bits_to_str(cc.demodulate(profile))}) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 21])
+    def test_empty_one_and_all_stations(self, capsys, tmp_path, n):
+        cb = cached_codebook(n)
+        for stations in ([], [n], list(range(1, n + 1))):
+            profile = cc.superpose(cb, stations)
+            assert self.stdout(capsys, tmp_path, n, stations) == json.dumps({
+                "stations": stations, "v": cb.v_length,
+                "sums": profile.sums.tolist(),
+                "bits": cc.bits_to_str(cc.demodulate(profile))}) + "\n"
+
+    @pytest.mark.parametrize("bound", range(26))
+    def test_json_int_list(self, bound):
+        rng = np.random.default_rng(bound)
+        vectors = [np.full(9, -bound, np.int16), np.full(9, bound, np.int16),
+                   np.full(1, bound, np.int16),
+                   rng.integers(-bound, bound + 1, 1000).astype(np.int16)]
+        for values in vectors:
+            assert cli._json_int_list(values, bound) == json.dumps(values.tolist())
 
     def test_noisy(self, capsys, tmp_path):
         cb = cached_codebook(5)
