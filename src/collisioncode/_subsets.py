@@ -8,7 +8,8 @@ then costs a single vectorized add. `split_rows` picks n_lo, at most
 DEFAULT_LO_BITS rows, for these generators and for the decoder's pruned
 nearest search.
 
-Subset masks use bit i for row i+1. Yielded count buffers are reused
+Subset masks use bit i for row i+1, and `mask_to_ids` lists a mask's
+row ids for the verifier's reports. Yielded count buffers are reused
 between iterations; copy them if they must outlive the loop body.
 
 Only `count_blocks` and a test call `partial_counts`, and only tests and
@@ -43,13 +44,6 @@ def mask_to_ids(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(ids)
-
-
-def ids_to_mask(ids) -> int:
-    mask = 0
-    for i in ids:
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def partial_counts(rows: np.ndarray) -> np.ndarray:

@@ -57,17 +57,24 @@ def superpose(cb: Codebook, stations) -> AmplitudeProfile:
 
     The empty subset (silence) yields the all-zero profile.
     """
-    idx = _station_indices(cb, stations)
-    # the ones of each column, added row by row in place in the narrowest
-    # type that holds len(idx), then 2 * ones - len(idx) in int16
+    sums = _row_sums(cb, _station_indices(cb, stations))
+    sums.flags.writeable = False
+    return AmplitudeProfile(sums)
+
+
+def _row_sums(cb: Codebook, idx: list[int]) -> np.ndarray:
+    """int16 chip sums 2 * ones - len(idx) over the 0-based rows idx.
+
+    The ones of each column are added row by row in place, in the
+    narrowest type that holds len(idx).
+    """
     m = cb.matrix()
     ones = np.zeros(cb.v_length, np.min_scalar_type(len(idx)))
     for i in idx:
         np.add(ones, m[i], out=ones)
     sums = np.multiply(ones, 2, dtype=np.int16)
     sums -= len(idx)
-    sums.flags.writeable = False
-    return AmplitudeProfile(sums)
+    return sums
 
 
 def demodulate(profile: AmplitudeProfile) -> np.ndarray:

@@ -18,14 +18,13 @@ bottom rows are one concatenation of small per-weight tables; no
 A document is one byte image: the ASCII header line, then a (rows, V+1)
 array whose last column is LF. Serializing fills that array;
 `serialize_codebook` decodes it to text and `gen --out` writes its bytes.
-Parsing reads the rows off the image in one pass, and splits the document
-into lines only to name the first fault of a malformed one; it then
-re-validates the matrix through its column values. The CLI reads a
-codebook file into one uint8 buffer and parses it from those bytes
-without decoding it to text: the header line is found in a short prefix,
-so the body is not copied before its rows are read. Any document that
-does not parse whole that way is decoded and given to `parse_codebook`,
-so every error and its order are those of the text parser.
+There is one parser, over bytes: `parse_codebook` encodes its text as
+ASCII and the CLI hands it a file's bytes. It reads the rows off the
+image without copying the body, then re-validates the matrix through its
+column values. A document that does not read as that image goes to one
+fault finder, which scans the bytes for the first fault in the order a
+line-by-line read would meet them, so the library and the CLI accept the
+same documents and refuse the rest with the same error.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -41,14 +40,15 @@ File format (ASCII, LF line endings, no trailing whitespace):
 
 import math
 import re
+from typing import NoReturn
 
 import numpy as np
 
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-# bytes searched for the header's LF by the bytes parser: far more than a
-# header within the cap needs, unless its numbers carry leading zeros
+# bytes searched first for the header's LF: far more than a header within
+# the cap needs, unless its numbers carry leading zeros
 _HEAD_BYTES = 4096
 
 
@@ -194,51 +194,55 @@ def _document_image(cb: Codebook) -> np.ndarray:
 def parse_codebook(doc: str) -> Codebook:
     """Parse and fully re-validate a codebook document.
 
-    Rejects documents that are merely well-formed but violate the matrix
+    The format is ASCII, so any other character is refused first. Rejects
+    documents that are merely well-formed but violate the matrix
     invariants: every column must hold exactly R ones, columns must be
     pairwise distinct (hence enumerate all weight-R patterns, given the
     header's V), which makes the rows distinct with equal weights.
     """
-    if not doc.endswith("\n"):
-        raise FormatError("document must end with a newline")
-    head = doc[:doc.index("\n")]
-    n, n_rows, r, v = _header_fields(head)
     try:
-        bits = _image_bits(doc.encode("ascii"), len(head) + 1, n_rows, v)
-    except UnicodeEncodeError:
-        bits = None
-    if bits is None:
-        bits = _line_bits(doc, n_rows, v)
-    _validate_matrix(bits, n_rows, r, v)
-    return Codebook(n, bits)
+        data = doc.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"non-ASCII character in document: {exc}") from None
+    return _parse_bytes(data)
 
 
 def _parse_bytes(data: bytes | np.ndarray) -> Codebook:
-    """parse_codebook(bytes(data).decode("ascii")) of a document given as
-    bytes or a uint8 array, without decoding a document whose header is
-    valid and whose rows read as one byte image.
+    """The codebook of a document given as bytes or a uint8 array, whose
+    header line is valid and whose rows read as one byte image; any other
+    document raises the fault that `_raise_first_fault` finds first.
 
-    Every other document goes through that call, so it fails with the
-    same error, in the same order: a non-ASCII byte anywhere raises the
-    decode error before any header or row error. The header is looked
-    for in the first _HEAD_BYTES only, so the body is never copied; a
-    longer header line takes that call too.
+    The header's LF is looked for in the first _HEAD_BYTES, and in the
+    whole buffer only when the header line is longer.
     """
-    prefix = bytes(data[:_HEAD_BYTES])
-    end = prefix.find(b"\n")
-    bits = None
-    if end >= 0:
-        try:
-            n, n_rows, r, v = _header_fields(prefix[:end].decode("ascii"))
-        except (UnicodeDecodeError, FormatError, InvariantError,
-                SizeLimitError):
-            pass
-        else:
-            bits = _image_bits(data, end + 1, n_rows, v)
+    buf = np.frombuffer(data, np.uint8)
+    end = bytes(buf[:_HEAD_BYTES]).find(b"\n")
+    if end < 0:  # still -1 if there is no LF at all; no image then reads
+        end = bytes(buf).find(b"\n")
+    try:
+        n, n_rows, r, v = _header_fields(bytes(buf[:end]).decode("ascii"))
+    except ValueError:
+        bits = None
+    else:
+        bits = _image_bits(buf[end + 1:], n_rows, v)
     if bits is None:
-        return parse_codebook(bytes(data).decode("ascii"))
+        _raise_first_fault(buf)
     _validate_matrix(bits, n_rows, r, v)
     return Codebook(n, bits)
+
+
+def _image_bits(body: np.ndarray, n_rows: int, v: int) -> np.ndarray | None:
+    """The (n_rows, v) matrix read off `body`, the bytes after the header
+    line, or None unless they are n_rows lines of v '0'/'1' characters,
+    each ending in LF."""
+    if len(body) != n_rows * (v + 1):
+        return None
+    body = body.reshape(n_rows, v + 1)
+    if (body[:, -1] != ord("\n")).any():
+        return None
+    # characters below '0' wrap round to large values
+    bits = body[:, :-1] - np.uint8(ord("0"))
+    return bits if bits.max() <= 1 else None
 
 
 def _header_fields(head: str) -> tuple[int, int, int, int]:
@@ -264,38 +268,32 @@ def _header_fields(head: str) -> tuple[int, int, int, int]:
     return n, n_rows, r, v
 
 
-def _image_bits(data: bytes | np.ndarray, start: int, n_rows: int,
-                v: int) -> np.ndarray | None:
-    """The (n_rows, v) matrix read off the document's bytes in one pass.
-
-    None unless everything after the header is exactly n_rows lines of v
-    ASCII '0'/'1' characters, each ending in LF; the caller then falls
-    back to the line-by-line parse.
-    """
-    if len(data) != start + n_rows * (v + 1):
-        return None
-    body = np.frombuffer(data, np.uint8, offset=start).reshape(n_rows, v + 1)
-    if (body[:, -1] != ord("\n")).any():
-        return None
-    # characters below '0' wrap round to large values
-    bits = body[:, :-1] - np.uint8(ord("0"))
-    if bits.max() > 1:
-        return None
-    return bits
-
-
-def _line_bits(doc: str, n_rows: int, v: int) -> np.ndarray:
-    """The (n_rows, v) matrix parsed line by line; raises FormatError
-    naming the first malformed line."""
-    lines = doc[:-1].split("\n")
-    if len(lines) != 1 + n_rows:
-        raise FormatError(f"expected {n_rows} row lines, got {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        if len(line) != v:
-            raise FormatError(f"row {i} has length {len(line)}, expected {v}")
-        rows.append(str_to_bits(line))
-    return np.vstack(rows)
+def _raise_first_fault(buf: np.ndarray) -> NoReturn:
+    """Raise the first fault of a document `_parse_bytes` refused, in the
+    order a line-by-line read meets them: a non-ASCII byte (as the error
+    of `bytes.decode`), a missing final LF, the header's faults, the row
+    line count, then each row's length before its characters. The bytes
+    are scanned with numpy, never decoded whole or split into lines."""
+    if buf.max(initial=0) >= 0x80:
+        # decoding through the first such byte raises its decode error
+        bytes(buf[:np.argmax(buf >= 0x80) + 1]).decode("ascii")
+    if not len(buf) or buf[-1] != ord("\n"):
+        raise FormatError("document must end with a newline")
+    newline = buf == ord("\n")
+    _, n_rows, _, v = _header_fields(
+        bytes(buf[:newline.argmax()]).decode("ascii"))
+    lines = np.count_nonzero(newline)
+    if lines != 1 + n_rows:
+        raise FormatError(f"expected {n_rows} row lines, got {lines - 1}")
+    ends = np.flatnonzero(newline)
+    for i, (a, b) in enumerate(zip(ends[:-1] + 1, ends[1:]), start=1):
+        row = buf[a:b]
+        if len(row) != v:
+            raise FormatError(f"row {i} has length {len(row)}, expected {v}")
+        bad = row - np.uint8(ord("0")) > 1
+        if bad.any():
+            raise FormatError(
+                f"invalid bit character {chr(row[bad.argmax()])!r}")
 
 
 def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:

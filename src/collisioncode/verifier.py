@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._subsets import mask_to_ids
-from .codebook import Codebook, SizeLimitError, bits_to_str
+from .channel import _row_sums
+from .codebook import Codebook, SizeLimitError
 
 UNIQUENESS_BUDGET_ROWS = 15
 WITNESS_SWEEP_BUDGET_ROWS = 11
@@ -136,13 +137,6 @@ def _row_indices(cb: Codebook, rows) -> list[int]:
     return [i - 1 for i in ids]
 
 
-def _sums_vector(cb: Codebook, idx: list[int]) -> np.ndarray:
-    if not idx:
-        return np.zeros(cb.v_length, np.int16)
-    ones = cb.matrix()[idx].sum(axis=0, dtype=np.int16)
-    return 2 * ones - np.int16(len(idx))
-
-
 def _ones_at(cb: Codebook, rows, col: int) -> tuple[int, int]:
     """(ones, size): one-bits of a row subset at a 1-based column, and its size."""
     idx = _row_indices(cb, rows)
@@ -181,7 +175,7 @@ def _find_witness(cb: Codebook, rows, target: int) -> WitnessReport:
     ids = sorted(i + 1 for i in idx)
     if not idx or len(idx) % 2 != target or len(idx) == cb.n_rows:
         raise ValueError(f"rows must be {what}, got {ids} of {cb.n_rows} rows")
-    cols = np.flatnonzero(_sums_vector(cb, idx) == target)
+    cols = np.flatnonzero(_row_sums(cb, idx) == target)
     if not cols.size:
         raise WitnessNotFoundError(f"no {name} column for rows {ids}")
     return WitnessReport(frozenset(ids), int(cols[0]) + 1, target)
@@ -302,17 +296,18 @@ def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
     """The demodulated vector of each subset in `masks`, as a string.
 
     Columns are taken in blocks narrow enough that a block of chip sums
-    holds 64 subsets.
+    holds 64 subsets; each block's bits are written into one '0'/'1'
+    character row per subset.
     """
     v = matrix.shape[1]
     width = max(1, _KERNEL_BYTES >> 8)
-    blocks = []
+    chars = np.empty((len(masks), v), np.uint8)
     for c0 in range(0, v, width):
-        cols = np.arange(c0, min(c0 + width, v))
-        text = "".join(bits_to_str(sums > 0)
-                       for _, sums in _chip_sums(matrix, cols, masks))
-        blocks.append([text[i:i + len(cols)] for i in range(0, len(text), len(cols))])
-    return ["".join(parts) for parts in zip(*blocks)]
+        cols = slice(c0, c0 + width)
+        for sl, sums in _chip_sums(matrix, cols, masks):
+            np.greater(sums, 0, out=chars[sl, cols])
+    chars += ord("0")
+    return [row.tobytes().decode("ascii") for row in chars]
 
 
 def _check_budget(m: int, budget: int, name: str) -> None:

@@ -7,9 +7,14 @@ seeded draws of the claims check use numpy's generator, which defines
 them.
 """
 
+import math
+import re
 from itertools import combinations
 
 import numpy as np
+
+from collisioncode import (MAX_STATIONS, FormatError, InvariantError,
+                           SizeLimitError)
 
 
 def weight_patterns(n_rows: int, weight: int) -> list[int]:
@@ -24,6 +29,11 @@ def matrix_rows(n_rows: int) -> list[str]:
     pats = weight_patterns(n_rows, r)
     return ["".join(str((p >> (n_rows - 1 - i)) & 1) for p in pats)
             for i in range(n_rows)]
+
+
+def ids_to_mask(ids) -> int:
+    """Subset mask of 1-based row ids: bit i for row i+1."""
+    return sum(1 << (i - 1) for i in set(ids))
 
 
 def chip_sum(rows: list[str], subset, col: int) -> int:
@@ -83,3 +93,55 @@ def witness_failures(rows: list[str]) -> list[tuple[int, ...]]:
     cols = range(1, len(rows[0]) + 1)
     return sorted(s for s in nonempty_subsets(len(rows)) if len(s) < len(rows)
                   and all(chip_sum(rows, s, c) != len(s) % 2 for c in cols))
+
+
+def parse_document(doc: str) -> tuple[int, list[str]]:
+    """(N, row strings) of an ASCII codebook document, read line by line.
+
+    Raises the first fault with the library's exception type and message,
+    met in this order: the final newline, the header line and its
+    arithmetic, the count of row lines, each row's length and then its
+    characters, the column weights, and the smallest repeated column value
+    (named by its first column).
+    """
+    if not doc.endswith("\n"):
+        raise FormatError("document must end with a newline")
+    lines = doc[:-1].split("\n")
+    header = re.fullmatch(
+        r"COLLISIONCODE v1 N=([0-9]+) ROWS=([0-9]+) R=([0-9]+) V=([0-9]+)",
+        lines[0])
+    if header is None:
+        raise FormatError(f"bad header line: {lines[0]!r}")
+    n, n_rows, r, v = (int(g) for g in header.groups())
+    if n < 1:
+        raise InvariantError("N must be >= 1")
+    if n > MAX_STATIONS:
+        raise SizeLimitError(f"N={n} exceeds the cap of {MAX_STATIONS}")
+    if n_rows % 2 == 0 or n_rows != n + (n % 2 == 0):
+        raise InvariantError(
+            f"ROWS={n_rows} inconsistent with N={n}: rows must be N for odd "
+            f"N and N+1 for even N")
+    if r != (n_rows + 1) // 2:
+        raise InvariantError(f"R={r}, expected (ROWS+1)/2 = {(n_rows + 1) // 2}")
+    if v != math.comb(n_rows, r):
+        raise InvariantError(
+            f"V={v}, expected C({n_rows},{r}) = {math.comb(n_rows, r)}")
+    rows = lines[1:]
+    if len(rows) != n_rows:
+        raise FormatError(f"expected {n_rows} row lines, got {len(rows)}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != v:
+            raise FormatError(f"row {i} has length {len(row)}, expected {v}")
+        for char in row:
+            if char not in "01":
+                raise FormatError(f"invalid bit character {char!r}")
+    cols = ["".join(col) for col in zip(*rows)]
+    for c, col in enumerate(cols, start=1):
+        if col.count("1") != r:
+            raise InvariantError(
+                f"column {c} has weight {col.count('1')}, expected {r}")
+    repeated = [col for col in cols if cols.count(col) > 1]
+    if repeated:
+        first = cols.index(min(repeated, key=lambda col: int(col, 2)))
+        raise InvariantError(f"duplicate column (first at index {first + 1})")
+    return n, rows

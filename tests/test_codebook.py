@@ -268,15 +268,20 @@ class TestTextFormat:
 
 
 class TestParsePaths:
-    """The byte-image parse against the per-line loop it falls back to."""
+    """The bytes parser against a line-by-line reference parse."""
 
     @staticmethod
-    def outcome(doc):
+    def outcome(parse, doc):
         try:
-            cb = cc.parse_codebook(doc)
+            n, rows = parse(doc)
         except (cc.FormatError, cc.InvariantError, cc.SizeLimitError) as exc:
             return type(exc), str(exc)
-        return cb.n_stations, cb.matrix().shape, cb.matrix().tobytes()
+        return n, rows
+
+    @staticmethod
+    def library(doc):
+        cb = cc.parse_codebook(doc)
+        return cb.n_stations, rows_as_strings(cb)
 
     @staticmethod
     def documents():
@@ -292,27 +297,41 @@ class TestParsePaths:
                 docs += [doc[:pos] + sub + doc[pos + 1:]
                          for sub in ("2", " ", "\r", "\n", "\u00e9")
                          if sub != char]
+                # a deleted or an inserted character: a row's length
+                # fault comes before its character faults
+                docs += [doc[:pos] + doc[pos + 1:], doc[:pos] + "x" + doc[pos:]]
             for i in range(1, len(lines)):
                 docs.append("\n".join(lines[:i] + lines[i + 1:]) + "\n")
                 docs.append("\n".join(lines[:i + 1] + lines[i:]) + "\n")
         return list(dict.fromkeys(docs))
 
-    def test_byte_image_agrees_with_line_loop(self, monkeypatch):
-        docs = self.documents()
-        fast = [self.outcome(doc) for doc in docs]
-        kinds = {o[0] if isinstance(o[0], type) else "accepted" for o in fast}
+    def test_matches_line_by_line_reference(self):
+        docs = [doc for doc in self.documents() if doc.isascii()]
+        expected = [self.outcome(oracles.parse_document, doc) for doc in docs]
+        kinds = {o[0] if isinstance(o[0], type) else "accepted"
+                 for o in expected}
         assert kinds == {cc.FormatError, cc.InvariantError,
                          cc.SizeLimitError, "accepted"}
-        monkeypatch.setattr(codebook, "_image_bits", lambda *args: None)
-        for doc, expected in zip(docs, fast):
-            assert self.outcome(doc) == expected, repr(doc)
+        for doc, want in zip(docs, expected):
+            assert self.outcome(self.library, doc) == want, repr(doc)
 
-    def test_valid_document_skips_line_loop(self, monkeypatch):
-        def line_loop(*args):
-            raise AssertionError("per-line loop reached")
-        monkeypatch.setattr(codebook, "_line_bits", line_loop)
+    def test_valid_document_skips_fault_finder(self, monkeypatch):
+        def fault_finder(*args):
+            raise AssertionError("fault finder reached")
+        monkeypatch.setattr(codebook, "_raise_first_fault", fault_finder)
         cb = cached_codebook(9)
         assert cc.parse_codebook(cc.serialize_codebook(cb)) == cb
+
+    @pytest.mark.parametrize("doc", [
+        "COLLISIONCODE v1 N=\u0663 ROWS=3 R=2 V=3\n110\n101\n011\n",
+        "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n1\u00e91\n011\n",
+    ])
+    def test_non_ascii_is_refused_first(self, doc):
+        """The format is ASCII: a Unicode digit in the header, or a
+        non-ASCII character among the bits, is a format error."""
+        with pytest.raises(cc.FormatError,
+                           match="^non-ASCII character in document: "):
+            cc.parse_codebook(doc)
 
 
 class TestColumnDtype:

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
 from collisioncode import verifier
-from collisioncode._subsets import (demod_blocks, ids_to_mask, mask_to_ids,
-                                   partial_counts)
+from collisioncode._subsets import demod_blocks, mask_to_ids, partial_counts
 from conftest import cached_codebook
 import oracles
 
@@ -44,7 +43,7 @@ def brute_force_uniqueness(rows):
         groups.setdefault(oracles.demod(rows, subset), []).append(subset)
     collisions = sorted(
         (a, b, vec) for vec, subsets in groups.items()
-        for a, b in combinations(sorted(subsets, key=ids_to_mask), 2))
+        for a, b in combinations(sorted(subsets, key=oracles.ids_to_mask), 2))
     return collisions, len(groups)
 
 
