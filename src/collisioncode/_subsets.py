@@ -1,37 +1,21 @@
-"""Blocked enumeration of subset chip counts over codebook rows.
+"""Chip sums of codebook row subsets, by one matmul kernel.
 
-Enumerating every subset of m rows naively costs 2^m row sums of length V.
-The generators here split the rows into a low block, whose 2^n_lo partial
-sums are precomputed once, and a high block walked in Gray-code order so
-that one row is added or removed per step. Each block of 2^n_lo subsets
-then costs a single vectorized add. `split_rows` picks n_lo, at most
-DEFAULT_LO_BITS rows, for these generators and for the decoder's pruned
-nearest search.
+Subsets are given as masks, bit i for row i+1. The chip sums of a block
+of subsets at a block of columns are one float32 matmul of the subsets'
+0/1 membership rows (`_membership`) and the +1/-1 amplitudes of those
+columns (`_signed`), exact since |sum| <= 25; demod(S) is the positive
+sums. `_chip_sums` runs that matmul a block of subsets at a time, within
+_KERNEL_BYTES, and the verifier's checks all read their sums from it.
 
-Subset masks use bit i for row i+1, and `mask_to_ids` lists a mask's
-row ids for the verifier's reports. Yielded count buffers are reused
-between iterations; copy them if they must outlive the loop body.
-
-Only `count_blocks` and a test call `partial_counts`, and only tests and
-perfbench walk `count_blocks` and `demod_blocks`: the verifier forms its
-chip sums by matmul, and the decoder's pruned nearest search uses just
-`split_rows`. The two generators remain the full-width enumeration that
-tests use as a reference and that perfbench's subset-throughput metrics
-time.
+`count_blocks` and `demod_blocks` enumerate every subset of the first m
+rows through the same kernel. No library code calls them: tests use
+them as a reference scan, and perfbench's subset-throughput metrics time
+them. `mask_to_ids` lists a mask's row ids for the verifier's reports.
 """
 
 import numpy as np
 
-DEFAULT_LO_BITS = 8
-_LO_TABLE_BYTES = 1 << 26
-
-
-def split_rows(m: int, v: int) -> int:
-    """Width of the precomputed low block for an m-row, V-column run."""
-    n_lo = min(m, DEFAULT_LO_BITS)
-    while n_lo > 1 and (1 << n_lo) * v > _LO_TABLE_BYTES:
-        n_lo -= 1
-    return n_lo
+_KERNEL_BYTES = 1 << 20  # chip sums or a matrix block of one kernel step
 
 
 def mask_to_ids(mask: int) -> tuple[int, ...]:
@@ -46,50 +30,55 @@ def mask_to_ids(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def partial_counts(rows: np.ndarray) -> np.ndarray:
-    """Column counts of every subset of a few int8 0/1 rows.
+def _membership(masks: np.ndarray, m: int) -> np.ndarray:
+    """float32 0/1 membership rows: entry [i, r] is bit r of masks[i]."""
+    octets = masks.astype("<u8").view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float32)
 
-    table[mask, c] is the number of one-bits at column c over the rows
-    whose bit is set in mask (bit i for rows[i]). The masks with highest
-    bit i are those below 2^i plus rows[i], so the table doubles once per
-    row.
+
+def _signed(matrix: np.ndarray, cols) -> np.ndarray:
+    """The float32 +1/-1 amplitudes 2 * matrix[:, cols] - 1 of a column block."""
+    block = matrix[:, cols].astype(np.float32)
+    block *= 2
+    block -= 1
+    return block
+
+
+def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
+    """Yield (sl, sums): the chip sums at `cols` of the subsets masks[sl],
+    a slice at a time so that each float32 block of sums stays within
+    _KERNEL_BYTES.
+
+    sums[i, c] = 2 * ones - |S| is the product of subset i's membership
+    row and the +1/-1 block, exact in float32, and demod(S) is sums > 0.
+    Every step writes into one buffer, so a block is only valid until the
+    next one is drawn.
     """
-    table = np.zeros((1 << len(rows), rows.shape[1]), np.int8)
-    for i, row in enumerate(rows):
-        np.add(table[:1 << i], row, out=table[1 << i:2 << i])
-    return table
+    signed = _signed(matrix, cols)
+    step = max(1, _KERNEL_BYTES // (4 * signed.shape[1]))
+    buf = np.empty((min(step, len(masks)), signed.shape[1]), np.float32)
+    for lo in range(0, len(masks), step):
+        sl = slice(lo, min(lo + step, len(masks)))
+        sums = buf[:sl.stop - lo]
+        np.matmul(_membership(masks[sl], len(matrix)), signed, out=sums)
+        yield sl, sums
 
 
 def count_blocks(matrix: np.ndarray, m: int):
-    """Yield (masks, counts, sizes) covering every subset of the first m rows.
+    """Yield (masks, counts, sizes) covering every subset of the first m
+    rows, in ascending mask order, one `_chip_sums` block at a time.
 
     counts[i, c] is the number of one-bits at column c over the rows in
     subset masks[i]; sizes[i] is the subset cardinality. The empty mask 0
     is included (callers usually skip it).
     """
-    v = matrix.shape[1]
-    n_lo = split_rows(m, v)
-    n_hi = m - n_lo
-    rows = matrix[:m].astype(np.int8)  # counts stay below 127 for any supported size
-    size_lo = 1 << n_lo
-    lo_counts = partial_counts(rows[:n_lo])
-    lo_pop = np.array([mask.bit_count() for mask in range(size_lo)], np.int8)
-    lo_idx = np.arange(size_lo, dtype=np.int64)
-
-    gray = 0
-    cur = np.zeros(v, np.int8)
-    counts = np.empty_like(lo_counts)
-    for j in range(1 << n_hi):
-        if j:
-            prev, gray = gray, j ^ (j >> 1)
-            b = (prev ^ gray).bit_length() - 1
-            if gray >> b & 1:
-                cur += rows[n_lo + b]
-            else:
-                cur -= rows[n_lo + b]
-        np.add(lo_counts, cur[None, :], out=counts)
-        sizes = lo_pop + np.int8(gray.bit_count())
-        yield (gray << n_lo) | lo_idx, counts, sizes
+    masks = np.arange(1 << m)
+    for sl, sums in _chip_sums(matrix[:m], slice(None), masks):
+        sizes = np.bitwise_count(masks[sl]).astype(np.int8)
+        counts = sums.astype(np.int8)  # 2 * ones - size, exact in int8
+        counts += sizes[:, None]
+        counts //= 2
+        yield masks[sl], counts, sizes
 
 
 def demod_blocks(matrix: np.ndarray, m: int):

@@ -19,12 +19,14 @@ A document is one byte image: the ASCII header line, then a (rows, V+1)
 array whose last column is LF. Serializing fills that array;
 `serialize_codebook` decodes it to text and `gen --out` writes its bytes.
 There is one parser, over bytes: `parse_codebook` encodes its text as
-ASCII and the CLI hands it a file's bytes. It reads the rows off the
-image without copying the body, then re-validates the matrix through its
-column values. A document that does not read as that image goes to one
-fault finder, which scans the bytes for the first fault in the order a
+ASCII and the CLI hands it a file's bytes. It finds the header line by
+one search of the buffer in place, reads the rows off the image without
+copying the body, then re-validates the matrix through its column
+values. A document that does not read as that image goes to one fault
+finder, which scans the bytes for the first fault in the order a
 line-by-line read would meet them, so the library and the CLI accept the
-same documents and refuse the rest with the same error.
+same documents and refuse the rest with the same error. Neither copies a
+refused document whole or decodes it to text.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -47,9 +49,7 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-# bytes searched first for the header's LF: far more than a header within
-# the cap needs, unless its numbers carry leading zeros
-_HEAD_BYTES = 4096
+_LF = re.compile(rb"\n")  # searches a numpy buffer in place; bytes.find needs a copy
 
 
 class SizeLimitError(ValueError):
@@ -212,19 +212,20 @@ def _parse_bytes(data: bytes | np.ndarray) -> Codebook:
     header line is valid and whose rows read as one byte image; any other
     document raises the fault that `_raise_first_fault` finds first.
 
-    The header's LF is looked for in the first _HEAD_BYTES, and in the
-    whole buffer only when the header line is longer.
+    The header's LF is found by one search of the buffer in place, which
+    stops at the first LF; a document with no LF goes straight to the
+    fault finder.
     """
     buf = np.frombuffer(data, np.uint8)
-    end = bytes(buf[:_HEAD_BYTES]).find(b"\n")
-    if end < 0:  # still -1 if there is no LF at all; no image then reads
-        end = bytes(buf).find(b"\n")
+    lf = _LF.search(buf)
+    if lf is None:
+        _raise_first_fault(buf)
     try:
-        n, n_rows, r, v = _header_fields(bytes(buf[:end]).decode("ascii"))
+        n, n_rows, r, v = _header_fields(bytes(buf[:lf.start()]).decode("ascii"))
     except ValueError:
         bits = None
     else:
-        bits = _image_bits(buf[end + 1:], n_rows, v)
+        bits = _image_bits(buf[lf.end():], n_rows, v)
     if bits is None:
         _raise_first_fault(buf)
     _validate_matrix(bits, n_rows, r, v)
@@ -273,10 +274,13 @@ def _raise_first_fault(buf: np.ndarray) -> NoReturn:
     order a line-by-line read meets them: a non-ASCII byte (as the error
     of `bytes.decode`), a missing final LF, the header's faults, the row
     line count, then each row's length before its characters. The bytes
-    are scanned with numpy, never decoded whole or split into lines."""
+    are scanned with numpy, never decoded or split into lines."""
     if buf.max(initial=0) >= 0x80:
-        # decoding through the first such byte raises its decode error
-        bytes(buf[:np.argmax(buf >= 0x80) + 1]).decode("ascii")
+        # the error ASCII decoding raises at the first such byte; its
+        # message reads the byte from the object, at the error's start
+        pos = int(np.argmax(buf >= 0x80))
+        raise UnicodeDecodeError("ascii", bytes(buf[:pos + 1]), pos, pos + 1,
+                                 "ordinal not in range(128)")
     if not len(buf) or buf[-1] != ord("\n"):
         raise FormatError("document must end with a newline")
     newline = buf == ord("\n")

@@ -46,13 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _classes
-from ._subsets import split_rows
 from .channel import demodulate, superpose
 from .codebook import Codebook, SizeLimitError
 
 # the chips of the largest search the old 2^n scan ran: every subset at 17
 # stations, so no input at n <= 17 is refused
 NEAREST_BUDGET_CHIPS = ((1 << 17) - 1) * math.comb(17, 9)
+# stations in the class search's low block, and the most bytes its table holds
+_LO_BITS = 8
+_LO_TABLE_BYTES = 1 << 26
 
 IDENTIFIED = "identified"
 SILENCE = "silence"
@@ -148,9 +150,9 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
     2*dist are searched, and they hold every nearest subset. T is S with a
     members dropped and b non-members added, so its chip counts are those
     of S plus a signed sum of rows: -1 for a member, +1 for a non-member.
-    As in count_blocks, the signed sums over a low block of stations are
-    tabulated once by the lowbit recurrence, and each high-block flip set
-    adds its own sum to the table rows that complete an enumerated class.
+    The signed sums over a low block of stations are tabulated once by the
+    lowbit recurrence, and each high-block flip set adds its own sum to
+    the table rows that complete an enumerated class.
     """
     n, k, rows = cb.n_stations, len(members), cb.n_rows
     in_class = np.zeros((k + 1, n - k + 1), bool)
@@ -178,21 +180,20 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
     width = -(-cols.size // 64) * 64
     is_member = np.zeros(n, bool)
     is_member[members] = True
-    m = cb.matrix()
-    flip = []
-    base = np.zeros(width, np.int8)
-    for i in range(n):
-        row = np.zeros(width, np.int8)
-        row[:cols.size] = m[i, cols]
-        if is_member[i]:
-            base += row
-            np.negative(row, out=row)
-        flip.append(row)
+    # one gather of every station row onto the side's columns; the padding
+    # gathers column 0 and is then zeroed
+    flip = np.take(cb.matrix()[:n], np.pad(cols, (0, width - cols.size)),
+                   axis=1).view(np.int8)
+    flip[:, cols.size:] = 0
+    base = flip.sum(axis=0, dtype=np.int8, where=is_member[:, None])
+    np.negative(flip, out=flip, where=is_member[:, None])
     weight = np.array([_classes.demod_weight(rows, s) for s in range(n + 1)])
     offset = np.count_nonzero(bits) + (weight if on_ones else -weight)
     sign = -2 if on_ones else 2
 
-    n_lo = split_rows(n, width)
+    n_lo = min(n, _LO_BITS)
+    while n_lo > 1 and (1 << n_lo) * width > _LO_TABLE_BYTES:
+        n_lo -= 1
     lo_masks = np.arange(1 << n_lo)
     lo_members = sum(1 << i for i in range(n_lo) if is_member[i])
     lo_a = np.bitwise_count(lo_masks & lo_members)

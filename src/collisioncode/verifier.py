@@ -11,15 +11,14 @@ or seeded trials rather than by trust, the facts the decoder relies on:
 * distinct non-empty subsets demodulate to distinct vectors;
 * no non-empty subset demodulates to the all-zero vector.
 
-Every check forms chip sums one way: those of a block of subsets at a
-block of columns are one float32 matmul of the subsets' 0/1 membership
-rows (`_membership`) and the +1/-1 amplitudes of those columns
-(`_signed`), exact since |sum| <= 25, and demod(S) is the positive sums.
-`check_additivity` (named for the chip-sum identities it used to test)
-forms demod(S) so for its trial subsets, a block of columns at a time,
-and adds each row's signed correlation with it by a second matmul with
-the same block. The other three facts are enumerated over every row
-subset, reading the sums from `_chip_sums`:
+Every check forms chip sums with the one kernel of `_subsets`: a float32
+matmul of the subsets' 0/1 membership rows and the +1/-1 amplitudes of a
+column block, whose positive sums are demod(S). `check_additivity`
+(named for the chip-sum identities it used to test) forms demod(S) so
+for its trial subsets, a block of columns at a time, and adds each row's
+signed correlation with it by a second matmul with the same block. The
+other three facts are enumerated over every row subset, reading the sums
+from `_chip_sums`:
 
 * the three enumerations visit the columns in tiles of 64, spread over
   the whole codeword (`_column_tiles`), and count a tile only for the
@@ -48,13 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._subsets import mask_to_ids
+from . import _subsets
+from ._subsets import _chip_sums, _membership, _signed, mask_to_ids
 from .channel import _row_sums
 from .codebook import Codebook, SizeLimitError
 
 UNIQUENESS_BUDGET_ROWS = 15
 WITNESS_SWEEP_BUDGET_ROWS = 11
-_KERNEL_BYTES = 1 << 20  # chip sums or a matrix block of one kernel step
 _TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
 _DRAW_TRIALS = 1 << 12  # claims trials drawn and checked at once
 # trial chips (trials times V) of one claims run: the default 1000 trials
@@ -205,40 +204,6 @@ def _column_tiles(v: int) -> list[np.ndarray]:
     return [np.arange(t, v, n_tiles) for t in range(n_tiles)]
 
 
-def _membership(masks: np.ndarray, m: int) -> np.ndarray:
-    """float32 0/1 membership rows: entry [i, r] is bit r of masks[i]."""
-    octets = masks.astype("<u8").view(np.uint8).reshape(len(masks), 8)
-    return np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float32)
-
-
-def _signed(matrix: np.ndarray, cols) -> np.ndarray:
-    """The float32 +1/-1 amplitudes 2 * matrix[:, cols] - 1 of a column block."""
-    block = matrix[:, cols].astype(np.float32)
-    block *= 2
-    block -= 1
-    return block
-
-
-def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
-    """Yield (sl, sums): the chip sums at `cols` of the subsets masks[sl],
-    a slice at a time so that each float32 block of sums stays within
-    _KERNEL_BYTES.
-
-    sums[i, c] = 2 * ones - |S| is the product of subset i's membership
-    row and the +1/-1 block, exact in float32, and demod(S) is sums > 0.
-    Every step writes into one buffer, so a block is only valid until the
-    next one is drawn.
-    """
-    signed = _signed(matrix, cols)
-    step = max(1, _KERNEL_BYTES // (4 * signed.shape[1]))
-    buf = np.empty((min(step, len(masks)), signed.shape[1]), np.float32)
-    for lo in range(0, len(masks), step):
-        sl = slice(lo, min(lo + step, len(masks)))
-        sums = buf[:sl.stop - lo]
-        np.matmul(_membership(masks[sl], len(matrix)), signed, out=sums)
-        yield sl, sums
-
-
 def _unsettled(matrix: np.ndarray, live: np.ndarray, settles) -> np.ndarray:
     """The subset masks of `live` that no column of `matrix` settles.
 
@@ -300,7 +265,7 @@ def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
     character row per subset.
     """
     v = matrix.shape[1]
-    width = max(1, _KERNEL_BYTES >> 8)
+    width = max(1, _subsets._KERNEL_BYTES >> 8)
     chars = np.empty((len(masks), v), np.uint8)
     for c0 in range(0, v, width):
         cols = slice(c0, c0 + width)
@@ -364,7 +329,7 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
         masks = rng.integers(1, 1 << m, min(_DRAW_TRIALS, trials - t0))
         member = _membership(masks, m)
         corr = np.zeros((len(masks), m), np.float32)
-        width = max(1, _KERNEL_BYTES // (4 * max(len(masks), m)))
+        width = max(1, _subsets._KERNEL_BYTES // 4 // max(len(masks), m))
         for c0 in range(0, v, width):
             signed = _signed(cb.matrix(), slice(c0, c0 + width))
             demod = member @ signed

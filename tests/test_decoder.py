@@ -1,5 +1,6 @@
 """Exact and nearest-match inversion of received bitstreams."""
 
+import functools
 import math
 import random
 
@@ -36,27 +37,33 @@ def smallest_unreachable(n_stations: int) -> str:
     raise AssertionError("every vector reachable")
 
 
+@functools.lru_cache(maxsize=None)
+def subset_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, packed) of every non-empty station subset of the canonical
+    n-station codebook, with packed[i] the demodulated vector of masks[i]."""
+    blocks = list(demod_blocks(cached_codebook(n).matrix(), n))
+    masks = np.concatenate([b[0] for b in blocks])
+    packed = np.concatenate([b[1] for b in blocks])
+    nonempty = masks != 0
+    return masks[nonempty], packed[nonempty]
+
+
 def scan_nearest(cb, received, max_dist: int) -> cc.DecodeOutcome:
-    """decode_nearest by scanning the demodulated vector of every subset."""
+    """decode_nearest by scanning the demodulated vector of every subset
+    of a canonical codebook."""
+    assert cb == cached_codebook(cb.n_stations)
     bits = np.asarray(received, np.uint8)
     if not bits.any():
         return cc.DecodeOutcome(cc.SILENCE, None, 0)
+    masks, packed = subset_table(cb.n_stations)
     target = np.packbits(bits)
-    sentinel = cb.v_length + 1
-    best, best_mask, ties = sentinel, 0, 0
-    for masks, packed in demod_blocks(cb.matrix(), cb.n_stations):
-        dists = np.bitwise_count(packed ^ target).sum(axis=1, dtype=np.int64)
-        dists[masks == 0] = sentinel
-        block_min = int(dists.min())
-        if block_min < best:
-            hits = np.flatnonzero(dists == block_min)
-            best, best_mask, ties = block_min, int(masks[hits[0]]), len(hits)
-        elif block_min == best:
-            ties += int((dists == block_min).sum())
-    if best > max_dist or ties > 1:
+    dists = np.bitwise_count(packed ^ target).sum(axis=1, dtype=np.int64)
+    best = int(dists.min())
+    hits = np.flatnonzero(dists == best)
+    if best > max_dist or hits.size > 1:
         return cc.DecodeOutcome(cc.NOMATCH, None, best)
-    return cc.DecodeOutcome(cc.IDENTIFIED, frozenset(mask_to_ids(best_mask)),
-                            best)
+    return cc.DecodeOutcome(cc.IDENTIFIED,
+                            frozenset(mask_to_ids(int(masks[hits[0]]))), best)
 
 
 def noisy_vector(cb, subset, sigma: float, seed: int) -> np.ndarray:

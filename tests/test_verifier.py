@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode import verifier
-from collisioncode._subsets import demod_blocks, mask_to_ids, partial_counts
+from collisioncode import _subsets, verifier
+from collisioncode._subsets import count_blocks, demod_blocks, mask_to_ids
 from conftest import cached_codebook
 import oracles
 
@@ -224,7 +224,7 @@ class TestAdditivity:
         over the last row, where the first failing trial depends on every
         draw before it."""
         if kernel_bytes:
-            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+            monkeypatch.setattr(_subsets, "_KERNEL_BYTES", kernel_bytes)
         if draw_trials:
             monkeypatch.setattr(verifier, "_DRAW_TRIALS", draw_trials)
         m = cached_codebook(n).n_rows
@@ -257,7 +257,7 @@ class TestAdditivity:
         """Row 1 holds its only 1 at the first column and row 2 at the
         last, so {1} or {2} fails unless every column block is counted."""
         if kernel_bytes:
-            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+            monkeypatch.setattr(_subsets, "_KERNEL_BYTES", kernel_bytes)
         rows = ["1" + "0" * (v - 1), "0" * (v - 1) + "1"]
         assert cc.check_additivity(codebook_from_rows(rows), 20, 0).ok
         report = cc.check_additivity(codebook_from_rows(rows[:1] + ["0" * v]), 20, 0)
@@ -414,7 +414,7 @@ class TestTileRefinement:
     def test_checks_match_oracle(self, seed, kernel_bytes, monkeypatch):
         """kernel_bytes=200 splits every tile into blocks of a few subsets."""
         if kernel_bytes:
-            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+            monkeypatch.setattr(_subsets, "_KERNEL_BYTES", kernel_bytes)
         rows, collisions, distinct, no_zero, failures = edited_case(seed)
         cb = codebook_from_rows(rows)
         for workers in (1, 3):
@@ -480,10 +480,10 @@ class TestChipSums:
     def kernel_sums(matrix, cols, masks):
         """Every yielded block, checked to tile the masks in order."""
         sums, stop = [], 0
-        for sl, block in verifier._chip_sums(matrix, cols, masks):
+        for sl, block in _subsets._chip_sums(matrix, cols, masks):
             assert sl.start == stop and block.dtype == np.float32
             assert block.shape == (sl.stop - sl.start, len(cols))
-            assert block.nbytes <= max(verifier._KERNEL_BYTES, 4 * len(cols))
+            assert block.nbytes <= max(_subsets._KERNEL_BYTES, 4 * len(cols))
             stop = sl.stop
             sums += block.tolist()
         assert stop == len(masks)
@@ -499,7 +499,7 @@ class TestChipSums:
     def test_random_matrices_match_oracle(self, seed, kernel_bytes, monkeypatch):
         """kernel_bytes=200 yields one subset a block, 512 a few."""
         if kernel_bytes:
-            monkeypatch.setattr(verifier, "_KERNEL_BYTES", kernel_bytes)
+            monkeypatch.setattr(_subsets, "_KERNEL_BYTES", kernel_bytes)
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 12))
         v = int(rng.choice([1, 2, 63, 64, 65, 130]))
@@ -530,14 +530,24 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 class TestEnumerationEngine:
-    @pytest.mark.parametrize("k", range(6))
-    def test_partial_counts_match_row_sums(self, k):
-        rows = np.random.default_rng(k).integers(0, 2, (k, 13)).astype(np.int8)
-        table = partial_counts(rows)
-        assert table.shape == (1 << k, 13) and table.dtype == np.int8
-        for mask in range(1 << k):
-            ids = [i - 1 for i in mask_to_ids(mask)]
-            assert table[mask].tolist() == rows[ids].sum(axis=0).tolist()
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kernel_bytes", [None, 200])
+    def test_counts_match_row_sums(self, n, kernel_bytes, monkeypatch):
+        """Every subset once, in ascending mask order, with its row sums
+        and size; kernel_bytes=200 yields a few subsets a block."""
+        if kernel_bytes:
+            monkeypatch.setattr(_subsets, "_KERNEL_BYTES", kernel_bytes)
+        matrix = cached_codebook(n).matrix()
+        m = len(matrix)
+        seen = []
+        for masks, counts, sizes in count_blocks(matrix, m):
+            assert counts.dtype == sizes.dtype == np.int8
+            for mask, row, size in zip(masks.tolist(), counts, sizes.tolist()):
+                ids = [i - 1 for i in mask_to_ids(mask)]
+                assert row.tolist() == matrix[ids].sum(axis=0).tolist()
+                assert size == len(ids)
+                seen.append(mask)
+        assert seen == list(range(1 << m))
 
     def test_blocks_match_oracle_for_five_rows(self):
         cb = cached_codebook(5)
