@@ -6,7 +6,7 @@ Two kinds of goldens live there:
 * oracle-derived tables (the nearest-decode corruption table) computed
   by the pure-Python brute force of tests/oracles.py, independent of the
   package's decoder;
-* seeded captures (noisy profile samples, protocol round/session runs)
+* seeded captures (noisy channel samples, protocol round/session runs)
   recorded from the package's own deterministic generators and frozen so
   any later behavior drift fails loudly.
 
@@ -66,11 +66,11 @@ def nearest_corruption_table(n_stations: int, max_dist: int) -> list[dict]:
 
 def noisy_profile_golden() -> dict:
     cb = cc.build_codebook(3)
-    profile = cc.superpose_noisy(cb, {1}, 0.1, 42)
+    samples = cc.superpose_noisy(cb, {1}, 0.1, 42)
     return {
         "n": 3, "stations": [1], "sigma": 0.1, "seed": 42,
         "generator": "numpy PCG64, Generator.normal",
-        "samples": profile.samples.tolist(),
+        "samples": samples.tolist(),
     }
 
 

@@ -6,9 +6,8 @@ channel model, decoder, exhaustive verifier, and a multicast-ACK protocol
 simulation built on top.
 """
 
-from .channel import (AmplitudeProfile, NoisyProfile, demodulate,
-                      majority_demod_bit, modulate, pnc_xor_map, superpose,
-                      superpose_noisy, threshold_noisy)
+from .channel import (demodulate, majority_demod_bit, modulate, pnc_xor_map,
+                      superpose, superpose_noisy, threshold_noisy)
 from .codebook import (Codebook, FormatError, InvariantError, MAX_STATIONS,
                        SizeLimitError, bits_to_str, build_codebook,
                        codeword_for, parse_codebook, serialize_codebook,
@@ -17,7 +16,7 @@ from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_CHIPS,
                       NOMATCH, SILENCE, contains_station, decode_exact,
                       decode_nearest)
 from .protocol import (RoundResult, SessionConfig, SessionStats, run_round,
-                       run_session, session_json)
+                       run_session)
 from .verifier import (AdditivityReport, UNIQUENESS_BUDGET_ROWS,
                        UniquenessReport, WITNESS_SWEEP_BUDGET_ROWS,
                        WitnessNotFoundError, WitnessReport,
@@ -29,9 +28,8 @@ from .verifier import (AdditivityReport, UNIQUENESS_BUDGET_ROWS,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeProfile", "NoisyProfile", "modulate", "superpose",
-    "demodulate", "majority_demod_bit", "pnc_xor_map", "superpose_noisy",
-    "threshold_noisy",
+    "modulate", "superpose", "demodulate", "majority_demod_bit",
+    "pnc_xor_map", "superpose_noisy", "threshold_noisy",
     "Codebook", "MAX_STATIONS", "build_codebook", "codeword_for",
     "serialize_codebook", "parse_codebook", "bits_to_str", "str_to_bits",
     "SizeLimitError", "FormatError", "InvariantError",
@@ -44,5 +42,5 @@ __all__ = [
     "find_unit_sum_column", "find_zero_sum_column", "sweep_witnesses",
     "check_additivity", "verify_uniqueness", "verify_no_zero_vector",
     "SessionConfig", "RoundResult", "SessionStats", "run_round",
-    "run_session", "session_json",
+    "run_session",
 ]

@@ -6,35 +6,16 @@ sum of their amplitudes; the demodulator outputs 1 for a positive sum and
 0 otherwise, so each chip follows the majority of the transmitted bits and
 ties fall to 0. The ideal-channel path is exact integer arithmetic; the
 optional additive-Gaussian extension thresholds at 0.5, halfway between
-the tie level 0 and the smallest positive sum 1.
+the tie level 0 and the smallest positive sum 1. Both paths pass plain
+arrays: int16 sums, float64 samples and uint8 bits.
 
 All randomness is derived from an explicit seed through a NumPy PCG64
-generator, so noisy profiles are reproducible.
+generator, so noisy samples are reproducible.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import Codebook
-
-
-@dataclass(frozen=True)
-class AmplitudeProfile:
-    """Exact per-chip amplitude sums of a transmitting subset.
-
-    Every entry has absolute value at most the subset size and the same
-    parity as the subset size.
-    """
-    sums: np.ndarray  # (V,) signed integers
-
-
-@dataclass(frozen=True)
-class NoisyProfile:
-    """Amplitude sums plus per-chip Gaussian noise from a seeded generator."""
-    samples: np.ndarray  # (V,) float64
-    sigma: float
-    seed: int
 
 
 def modulate(bit: int) -> int:
@@ -44,22 +25,21 @@ def modulate(bit: int) -> int:
     return 2 * bit - 1
 
 
-def _station_indices(cb: Codebook, stations) -> list[int]:
-    ids = sorted({int(s) for s in stations})
-    if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
-        raise ValueError(
-            f"station ids must lie in 1..{cb.n_stations}, got {ids}")
+def _indices(ids, top: int, what: str) -> list[int]:
+    """Sorted 0-based indices of the distinct 1-based ids, all in 1..top."""
+    ids = sorted({int(i) for i in ids})
+    if ids and not (1 <= ids[0] and ids[-1] <= top):
+        raise ValueError(f"{what} ids must lie in 1..{top}, got {ids}")
     return [i - 1 for i in ids]
 
 
-def superpose(cb: Codebook, stations) -> AmplitudeProfile:
-    """Columnwise amplitude sums of the given stations' codewords.
+def superpose(cb: Codebook, stations) -> np.ndarray:
+    """Columnwise int16 amplitude sums of the given stations' codewords.
 
-    The empty subset (silence) yields the all-zero profile.
+    Every entry has absolute value at most the subset size and the same
+    parity as the subset size; the empty subset (silence) yields all zeros.
     """
-    sums = _row_sums(cb, _station_indices(cb, stations))
-    sums.flags.writeable = False
-    return AmplitudeProfile(sums)
+    return _row_sums(cb, _indices(stations, cb.n_stations, "station"))
 
 
 def _row_sums(cb: Codebook, idx: list[int]) -> np.ndarray:
@@ -77,9 +57,9 @@ def _row_sums(cb: Codebook, idx: list[int]) -> np.ndarray:
     return sums
 
 
-def demodulate(profile: AmplitudeProfile) -> np.ndarray:
+def demodulate(sums: np.ndarray) -> np.ndarray:
     """Hard-decision bits: 1 where the sum is >= 1, else 0 (ties to 0)."""
-    return (profile.sums >= 1).astype(np.uint8)
+    return (sums >= 1).astype(np.uint8)
 
 
 def majority_demod_bit(bits) -> int:
@@ -108,8 +88,8 @@ def pnc_xor_map(amp_sum: int) -> int:
     raise ValueError(f"not a two-transmitter amplitude sum: {amp_sum!r}")
 
 
-def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> NoisyProfile:
-    """Amplitude sums with i.i.d. Gaussian(0, sigma) noise per chip.
+def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> np.ndarray:
+    """float64 amplitude sums with i.i.d. Gaussian(0, sigma) noise per chip.
 
     Identical (codebook, stations, sigma, seed) always produce identical
     samples; sigma=0 returns the integer sums exactly.
@@ -118,14 +98,13 @@ def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> NoisyPro
         raise ValueError("sigma must be >= 0")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    base = superpose(cb, stations).sums.astype(np.float64)
+    samples = superpose(cb, stations).astype(np.float64)
     if sigma > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
-        base += rng.normal(0.0, sigma, base.size)
-    base.flags.writeable = False
-    return NoisyProfile(base, float(sigma), int(seed))
+        samples += rng.normal(0.0, sigma, samples.size)
+    return samples
 
 
-def threshold_noisy(profile: NoisyProfile) -> np.ndarray:
-    """Hard-decision bits of a noisy profile: 1 where the sample exceeds 0.5."""
-    return (profile.samples > 0.5).astype(np.uint8)
+def threshold_noisy(samples: np.ndarray) -> np.ndarray:
+    """Hard-decision bits of noisy samples: 1 where the sample exceeds 0.5."""
+    return (samples > 0.5).astype(np.uint8)

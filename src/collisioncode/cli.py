@@ -71,20 +71,20 @@ def cmd_superpose(args) -> int:
     stations = _parse_stations(args.stations)
     out = {"stations": sorted(stations), "v": cb.v_length}
     if args.sigma > 0:
-        profile = channel.superpose_noisy(cb, stations, args.sigma, args.seed)
-        out["sigma"] = profile.sigma
-        out["seed"] = profile.seed
-        out["samples"] = profile.samples.tolist()
-        out["bits"] = bits_to_str(channel.threshold_noisy(profile))
+        samples = channel.superpose_noisy(cb, stations, args.sigma, args.seed)
+        out["sigma"] = args.sigma
+        out["seed"] = args.seed
+        out["samples"] = samples.tolist()
+        out["bits"] = bits_to_str(channel.threshold_noisy(samples))
         print(json.dumps(out))
         return 0
-    profile = channel.superpose(cb, stations)
-    bits = bits_to_str(channel.demodulate(profile))
+    sums = channel.superpose(cb, stations)
+    bits = bits_to_str(channel.demodulate(sums))
     # json.dumps(out | {"sums": sums.tolist(), "bits": bits}) and LF,
     # written in pieces so the V sums never become a list of Python ints
     # and the sums are never copied into one line
     sys.stdout.write(f'{json.dumps(out)[:-1]}, "sums": ')
-    sys.stdout.write(_json_int_list(profile.sums, len(stations)))
+    sys.stdout.write(_json_int_list(sums, len(stations)))
     sys.stdout.write(f', "bits": "{bits}"}}\n')
     return 0
 
@@ -169,7 +169,7 @@ def cmd_simulate(args) -> int:
     cfg = protocol.SessionConfig(
         n_stations=args.n, loss_prob=args.loss, max_rounds=args.rounds,
         seed=args.seed, noise_sigma=args.sigma)
-    print(protocol.session_json(protocol.run_session(cfg)))
+    print(json.dumps(protocol.run_session(cfg).to_json_dict()))
     return 0
 
 

@@ -248,11 +248,15 @@ def _image_bits(body: np.ndarray, n_rows: int, v: int) -> np.ndarray | None:
 
 def _header_fields(head: str) -> tuple[int, int, int, int]:
     """(N, ROWS, R, V) of a header line that names a codebook within the
-    cap; raises the first fault otherwise."""
+    cap; raises the first fault otherwise. A number too long for int()
+    makes the line a bad header line."""
     header = _HEADER.fullmatch(head)
     if header is None:
         raise FormatError(f"bad header line: {head!r}")
-    n, n_rows, r, v = (int(g) for g in header.groups())
+    try:
+        n, n_rows, r, v = (int(g) for g in header.groups())
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"bad header line: {head!r}") from None
     if n < 1:
         raise InvariantError("N must be >= 1")
     if n > MAX_STATIONS:

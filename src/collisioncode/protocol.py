@@ -14,7 +14,6 @@ drawn from a master PCG64 stream, and each round draws its per-station
 losses and its noise seed from its own generator.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +82,6 @@ class SessionStats:
         }
 
 
-def session_json(stats: SessionStats) -> str:
-    return json.dumps(stats.to_json_dict())
-
-
 def run_round(cb: Codebook, intended, cfg: SessionConfig, round_seed: int,
               round_index: int = 1) -> RoundResult:
     """One broadcast round: losses, ACK superposition, collision decode.
@@ -106,8 +101,8 @@ def run_round(cb: Codebook, intended, cfg: SessionConfig, round_seed: int,
     received = frozenset(s for s, u in zip(order, draws) if u >= cfg.loss_prob)
     if cfg.noise_sigma > 0:
         noise_seed = int(rng.integers(0, 2 ** 63))
-        noisy = channel.superpose_noisy(cb, received, cfg.noise_sigma, noise_seed)
-        bits = channel.threshold_noisy(noisy)
+        bits = channel.threshold_noisy(channel.superpose_noisy(
+            cb, received, cfg.noise_sigma, noise_seed))
     else:
         bits = channel.demodulate(channel.superpose(cb, received))
     outcome = decoder.decode_exact(cb, bits)

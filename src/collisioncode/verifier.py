@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _subsets
 from ._subsets import _chip_sums, _membership, _signed, mask_to_ids
-from .channel import _row_sums
+from .channel import _indices, _row_sums
 from .codebook import Codebook, SizeLimitError
 
 UNIQUENESS_BUDGET_ROWS = 15
@@ -129,16 +129,9 @@ class AdditivityReport:
         }
 
 
-def _row_indices(cb: Codebook, rows) -> list[int]:
-    ids = sorted({int(r) for r in rows})
-    if ids and not (1 <= ids[0] and ids[-1] <= cb.n_rows):
-        raise ValueError(f"row ids must lie in 1..{cb.n_rows}, got {ids}")
-    return [i - 1 for i in ids]
-
-
 def _ones_at(cb: Codebook, rows, col: int) -> tuple[int, int]:
     """(ones, size): one-bits of a row subset at a 1-based column, and its size."""
-    idx = _row_indices(cb, rows)
+    idx = _indices(rows, cb.n_rows, "row")
     if not 1 <= col <= cb.v_length:
         raise ValueError(f"column {col} out of range 1..{cb.v_length}")
     ones = int(cb.matrix()[idx, col - 1].sum()) if idx else 0
@@ -170,7 +163,7 @@ def _find_witness(cb: Codebook, rows, target: int) -> WitnessReport:
     """Smallest column where the subset sums to target, whose parity the
     subset size must share."""
     what, name = _WITNESS_KINDS[target]
-    idx = _row_indices(cb, rows)
+    idx = _indices(rows, cb.n_rows, "row")
     ids = sorted(i + 1 for i in idx)
     if not idx or len(idx) % 2 != target or len(idx) == cb.n_rows:
         raise ValueError(f"rows must be {what}, got {ids} of {cb.n_rows} rows")

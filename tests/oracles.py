@@ -112,7 +112,10 @@ def parse_document(doc: str) -> tuple[int, list[str]]:
         lines[0])
     if header is None:
         raise FormatError(f"bad header line: {lines[0]!r}")
-    n, n_rows, r, v = (int(g) for g in header.groups())
+    try:
+        n, n_rows, r, v = (int(g) for g in header.groups())
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"bad header line: {lines[0]!r}") from None
     if n < 1:
         raise InvariantError("N must be >= 1")
     if n > MAX_STATIONS:

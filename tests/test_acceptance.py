@@ -157,8 +157,8 @@ def test_criterion_11_protocol_exactness_and_determinism():
             assert r.newly_confirmed == r.actually_received
     cfg = protocol.SessionConfig(n_stations=7, loss_prob=0.3, max_rounds=20,
                                  seed=7)
-    first = protocol.session_json(protocol.run_session(cfg))
-    second = protocol.session_json(protocol.run_session(cfg))
+    first = json.dumps(protocol.run_session(cfg).to_json_dict())
+    second = json.dumps(protocol.run_session(cfg).to_json_dict())
     assert first == second
     assert json.loads(first)["completed"]
     _passed(11, "ideal-channel rounds confirm exactly the receivers; "

@@ -89,24 +89,35 @@ def subset_strategy(n, min_size=0):
 
 class TestSuperpose:
     def test_two_station_example(self):
-        assert cc.superpose(cached_codebook(3), {1, 2}).sums.tolist() == [2, 0, 0]
+        assert cc.superpose(cached_codebook(3), {1, 2}).tolist() == [2, 0, 0]
 
     def test_silence(self):
-        assert cc.superpose(cached_codebook(3), set()).sums.tolist() == [0, 0, 0]
+        assert cc.superpose(cached_codebook(3), set()).tolist() == [0, 0, 0]
 
     def test_full_set_sums_to_one_everywhere(self):
-        assert cc.superpose(cached_codebook(3), {1, 2, 3}).sums.tolist() == [1, 1, 1]
+        assert cc.superpose(cached_codebook(3), {1, 2, 3}).tolist() == [1, 1, 1]
 
     def test_rejects_unknown_station(self):
         with pytest.raises(ValueError):
             cc.superpose(cached_codebook(3), {1, 4})
+
+    def test_out_of_range_ids_are_named(self):
+        """Stations are checked against N; the verifier's rows against
+        ROWS, which counts the padding row of an even N."""
+        cb = cached_codebook(4)
+        with pytest.raises(ValueError) as exc:
+            cc.superpose(cb, {5, 1})
+        assert str(exc.value) == "station ids must lie in 1..4, got [1, 5]"
+        with pytest.raises(ValueError) as exc:
+            cc.chip_sum(cb, {5, 0}, 1)
+        assert str(exc.value) == "row ids must lie in 1..5, got [0, 5]"
 
     @given(st.integers(1, 9), st.data())
     @settings(max_examples=60)
     def test_parity_and_bound(self, n, data):
         cb = cached_codebook(n)
         subset = data.draw(subset_strategy(cb.n_stations))
-        sums = cc.superpose(cb, subset).sums
+        sums = cc.superpose(cb, subset)
         size = len(subset)
         assert (np.abs(sums) <= size).all()
         assert ((sums - size) % 2 == 0).all()
@@ -117,8 +128,8 @@ class TestSuperpose:
         cb = cached_codebook(n)
         g1 = data.draw(subset_strategy(cb.n_stations))
         g2 = data.draw(subset_strategy(cb.n_stations)) - g1
-        lhs = cc.superpose(cb, g1 | g2).sums
-        assert np.array_equal(lhs, cc.superpose(cb, g1).sums + cc.superpose(cb, g2).sums)
+        lhs = cc.superpose(cb, g1 | g2)
+        assert np.array_equal(lhs, cc.superpose(cb, g1) + cc.superpose(cb, g2))
 
     @given(st.integers(1, 9), st.data())
     @settings(max_examples=60)
@@ -126,8 +137,8 @@ class TestSuperpose:
         cb = cached_codebook(n)
         g2 = data.draw(subset_strategy(cb.n_stations))
         g1 = data.draw(st.sets(st.sampled_from(sorted(g2)))) if g2 else frozenset()
-        lhs = cc.superpose(cb, g2 - g1).sums
-        assert np.array_equal(lhs, cc.superpose(cb, g2).sums - cc.superpose(cb, g1).sums)
+        lhs = cc.superpose(cb, g2 - g1)
+        assert np.array_equal(lhs, cc.superpose(cb, g2) - cc.superpose(cb, g1))
 
     @given(st.integers(1, 9), st.data())
     @settings(max_examples=60)
@@ -137,13 +148,13 @@ class TestSuperpose:
         rows = oracles.matrix_rows(cb.n_rows)
         expected = [oracles.chip_sum(rows, subset, c + 1)
                     for c in range(cb.v_length)]
-        assert cc.superpose(cb, subset).sums.tolist() == expected
+        assert cc.superpose(cb, subset).tolist() == expected
 
     def test_all_stations_at_the_cap_match_oracle(self):
         """All 25 stations: the oracle's sums on sampled columns, and +1
         at every column (13 ones and 12 zeros)."""
         cb = cc.build_codebook(25)
-        sums = cc.superpose(cb, range(1, 26)).sums
+        sums = cc.superpose(cb, range(1, 26))
         assert sums.dtype == np.int16 and sums.shape == (cb.v_length,)
         rng = np.random.default_rng(25)
         cols = np.concatenate([[0, cb.v_length - 1],
@@ -161,7 +172,7 @@ class TestSuperpose:
         bits = rng.integers(0, 2, (n_stations, 40), dtype=np.uint8)
         bits[:, 0] = 1
         bits[:, 1] = 0
-        sums = cc.superpose(cc.Codebook(n_stations, bits), range(1, n_stations + 1)).sums
+        sums = cc.superpose(cc.Codebook(n_stations, bits), range(1, n_stations + 1))
         assert sums.dtype == np.int16
         assert sums.tolist() == (2 * bits.astype(np.int64) - 1).sum(axis=0).tolist()
         assert sums[0] == n_stations and sums[1] == -n_stations
@@ -185,8 +196,8 @@ class TestDemodulate:
 class TestNoisyChannel:
     def test_zero_sigma_is_exact(self):
         cb = cached_codebook(3)
-        profile = cc.superpose_noisy(cb, {1, 2, 3}, 0.0, 99)
-        assert profile.samples.tolist() == [1.0, 1.0, 1.0]
+        samples = cc.superpose_noisy(cb, {1, 2, 3}, 0.0, 99)
+        assert samples.dtype == np.float64 and samples.tolist() == [1.0, 1.0, 1.0]
         bits = cc.threshold_noisy(cc.superpose_noisy(cb, {1, 2}, 0.0, 0))
         assert cc.bits_to_str(bits) == "100"
 
@@ -194,16 +205,16 @@ class TestNoisyChannel:
         cb = cached_codebook(5)
         a = cc.superpose_noisy(cb, {1, 4}, 0.3, 1234)
         b = cc.superpose_noisy(cb, {1, 4}, 0.3, 1234)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
         c = cc.superpose_noisy(cb, {1, 4}, 0.3, 1235)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
     def test_golden_samples(self):
         golden = load_golden("noisy_profile_n3.json")
-        profile = cc.superpose_noisy(cached_codebook(3), set(golden["stations"]),
+        samples = cc.superpose_noisy(cached_codebook(3), set(golden["stations"]),
                                      golden["sigma"], golden["seed"])
-        assert profile.samples.tolist() == golden["samples"]
-        assert (np.abs(profile.samples - np.array([1, 1, -1])) <= 1.0).all()
+        assert samples.tolist() == golden["samples"]
+        assert (np.abs(samples - np.array([1, 1, -1])) <= 1.0).all()
 
     def test_rejects_bad_parameters(self):
         cb = cached_codebook(3)
@@ -213,8 +224,8 @@ class TestNoisyChannel:
             cc.superpose_noisy(cb, {1}, 0.1, -1)
 
     def test_threshold_midpoint(self):
-        profile = cc.NoisyProfile(np.array([0.49, 0.51, -3.0]), 1.0, 0)
-        assert cc.bits_to_str(cc.threshold_noisy(profile)) == "010"
+        samples = np.array([0.49, 0.51, -3.0])
+        assert cc.bits_to_str(cc.threshold_noisy(samples)) == "010"
 
     def test_low_noise_agrees_with_ideal_demodulation(self):
         # Monte Carlo over seeds 1..10000 at sigma=0.1; the 0.5 threshold

@@ -90,6 +90,14 @@ class TestEncode:
         assert err == f"error: {exc.value}\n"
         assert "bad header line" in err
 
+    def test_header_number_too_long_for_int(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text(CB3_DOC.replace("N=3", "N=" + "0" * 5000 + "3", 1))
+        code, out, err = run(capsys, ["encode", "--codebook", str(path),
+                                      "--station", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad header line: ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["encode", "--codebook",
                                     str(tmp_path / "nope.txt"), "--station", "1"])
@@ -291,7 +299,7 @@ class TestSuperpose:
 
 
 class TestSuperposeBytes:
-    """stdout equals json.dumps of the profile, byte for byte."""
+    """stdout equals json.dumps of the channel's arrays, byte for byte."""
 
     @staticmethod
     def stdout(capsys, tmp_path, n, stations, *extra):
@@ -319,21 +327,21 @@ class TestSuperposeBytes:
     def test_ideal(self, capsys, tmp_path, n):
         cb = cached_codebook(n)
         for stations in self.subsets(n):
-            profile = cc.superpose(cb, stations)
+            sums = cc.superpose(cb, stations)
             assert self.stdout(capsys, tmp_path, n, stations) == json.dumps({
                 "stations": stations, "v": cb.v_length,
-                "sums": profile.sums.tolist(),
-                "bits": cc.bits_to_str(cc.demodulate(profile))}) + "\n"
+                "sums": sums.tolist(),
+                "bits": cc.bits_to_str(cc.demodulate(sums))}) + "\n"
 
     @pytest.mark.parametrize("n", [1, 2, 7, 21])
     def test_empty_one_and_all_stations(self, capsys, tmp_path, n):
         cb = cached_codebook(n)
         for stations in ([], [n], list(range(1, n + 1))):
-            profile = cc.superpose(cb, stations)
+            sums = cc.superpose(cb, stations)
             assert self.stdout(capsys, tmp_path, n, stations) == json.dumps({
                 "stations": stations, "v": cb.v_length,
-                "sums": profile.sums.tolist(),
-                "bits": cc.bits_to_str(cc.demodulate(profile))}) + "\n"
+                "sums": sums.tolist(),
+                "bits": cc.bits_to_str(cc.demodulate(sums))}) + "\n"
 
     @pytest.mark.parametrize("bound", range(26))
     def test_json_int_list(self, bound):
@@ -347,13 +355,13 @@ class TestSuperposeBytes:
     def test_noisy(self, capsys, tmp_path):
         cb = cached_codebook(5)
         for stations in self.subsets(5):
-            profile = cc.superpose_noisy(cb, stations, 0.7, 5)
+            samples = cc.superpose_noisy(cb, stations, 0.7, 5)
             out = self.stdout(capsys, tmp_path, 5, stations,
                               "--sigma", "0.7", "--seed", "5")
             assert out == json.dumps({
                 "stations": stations, "v": cb.v_length, "sigma": 0.7,
-                "seed": 5, "samples": profile.samples.tolist(),
-                "bits": cc.bits_to_str(cc.threshold_noisy(profile))}) + "\n"
+                "seed": 5, "samples": samples.tolist(),
+                "bits": cc.bits_to_str(cc.threshold_noisy(samples))}) + "\n"
 
 
 class TestDecode:
@@ -570,6 +578,32 @@ class TestSimulate:
                                     "--seed", "5"])
         assert code == 0
         assert json.loads(out)["noise_sigma"] == 0.2
+
+
+class TestNoisyDigests:
+    """The noisy channel's stdout, pinned by sha256: no golden runs with
+    sigma > 0."""
+
+    def test_superpose(self, capsys, tmp_path):
+        path = tmp_path / "cb15.txt"
+        path.write_text(cc.serialize_codebook(cached_codebook(15)))
+        code, out, _ = run(capsys, ["superpose", "--codebook", str(path),
+                                    "--stations", "1,4,9", "--sigma", "0.7",
+                                    "--seed", "5"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a6e6bf29fa166777770a303d952db5429761f42f7ee44a8702e3454cb751c76e")
+
+    @pytest.mark.parametrize("argv, sha256", [
+        ("--n 7 --loss 0.3 --sigma 0.2 --rounds 16 --seed 3",
+         "7307c78e74519a541cfa729e1ecdd8e43d2598999196c4f89d23e449b7df60c0"),
+        ("--n 15 --loss 0.3 --sigma 0.125 --rounds 64 --seed 11",
+         "09522f96be250c0d64d3e6efe8969bbdbfe42d3efa9e699d405b8a0a9af0895e"),
+    ])
+    def test_simulate(self, capsys, argv, sha256):
+        code, out, _ = run(capsys, ["simulate", *argv.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestUsage:

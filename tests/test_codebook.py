@@ -41,6 +41,13 @@ def oversized_doc():
     return f"COLLISIONCODE v1 N={n} ROWS={n} R={(n + 1) // 2} V=1\n1\n"
 
 
+def long_number_doc(field):
+    """The n=3 document with 5,000 zeros before one header number's digits,
+    more than int() converts."""
+    doc = cc.serialize_codebook(cached_codebook(3))
+    return doc.replace(f" {field}=", f" {field}=" + "0" * 5000, 1)
+
+
 def rows_as_strings(cb):
     return [cc.bits_to_str(cb.matrix()[i]) for i in range(cb.n_rows)]
 
@@ -253,6 +260,14 @@ class TestTextFormat:
         with pytest.raises(cc.SizeLimitError):
             cc.parse_codebook(oversized_doc())
 
+    @pytest.mark.parametrize("field", ["N", "ROWS", "R", "V"])
+    def test_rejects_header_number_too_long_for_int(self, field):
+        doc = long_number_doc(field)
+        head = doc[:doc.index("\n")]
+        with pytest.raises(cc.FormatError) as exc:
+            cc.parse_codebook(doc)
+        assert str(exc.value) == f"bad header line: {head!r}"
+
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=50)
     def test_any_single_bit_flip_is_rejected(self, n, data):
@@ -286,7 +301,8 @@ class TestParsePaths:
     @staticmethod
     def documents():
         docs = [LOW_WEIGHT_DOC, DUPLICATE_COLUMN_DOC, V_MISMATCH_DOC,
-                ROWS_MISMATCH_DOC, oversized_doc(), *MALFORMED_DOCS]
+                ROWS_MISMATCH_DOC, oversized_doc(), long_number_doc("N"),
+                *MALFORMED_DOCS]
         for n in range(1, 6):
             doc = cc.serialize_codebook(cached_codebook(n))
             lines = doc[:-1].split("\n")

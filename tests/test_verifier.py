@@ -79,7 +79,7 @@ class TestChipSum:
         cb = cached_codebook(n)
         subset = data.draw(
             st.sets(st.integers(1, cb.n_stations), min_size=1).map(frozenset))
-        sums = cc.superpose(cb, subset).sums
+        sums = cc.superpose(cb, subset)
         for col in range(1, cb.v_length + 1):
             assert cc.chip_sum(cb, subset, col) == int(sums[col - 1])
 
