@@ -94,7 +94,7 @@ def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> np.ndarr
     Identical (codebook, stations, sigma, seed) always produce identical
     samples; sigma=0 returns the integer sums exactly.
     """
-    if sigma < 0:
+    if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be >= 0")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")

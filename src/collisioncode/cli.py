@@ -7,6 +7,7 @@ error.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -16,8 +17,7 @@ import numpy as np
 from . import channel, decoder, protocol, verifier
 from .codebook import (FormatError, InvariantError, SizeLimitError,
                        _document_image, _parse_bytes, bits_to_str,
-                       build_codebook, codeword_for, serialize_codebook,
-                       str_to_bits)
+                       build_codebook, codeword_for, str_to_bits)
 
 
 def _load_codebook(path: str):
@@ -51,12 +51,15 @@ def _parse_stations(text: str) -> frozenset[int]:
 
 
 def cmd_gen(args) -> int:
-    cb = build_codebook(args.n)
+    # the document's byte image, never decoded to a str, goes to the file
+    # or, after any buffered text, to stdout's byte layer
+    image = _document_image(build_codebook(args.n))
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(_document_image(cb))
+            fh.write(image)
     else:
-        sys.stdout.write(serialize_codebook(cb))
+        sys.stdout.flush()
+        sys.stdout.buffer.write(image)
     return 0
 
 
@@ -66,26 +69,30 @@ def cmd_encode(args) -> int:
     return 0
 
 
+_SAMPLE_BLOCK = 1 << 16  # noisy samples per json.dumps call in superpose
+
+
 def cmd_superpose(args) -> int:
     cb = _load_codebook(args.codebook)
     stations = _parse_stations(args.stations)
-    out = {"stations": sorted(stations), "v": cb.v_length}
-    if args.sigma > 0:
+    head = {"stations": sorted(stations), "v": cb.v_length}
+    if args.sigma != 0:  # negative or NaN too, so superpose_noisy refuses it
         samples = channel.superpose_noisy(cb, stations, args.sigma, args.seed)
-        out["sigma"] = args.sigma
-        out["seed"] = args.seed
-        out["samples"] = samples.tolist()
-        out["bits"] = bits_to_str(channel.threshold_noisy(samples))
-        print(json.dumps(out))
-        return 0
-    sums = channel.superpose(cb, stations)
-    bits = bits_to_str(channel.demodulate(sums))
-    # json.dumps(out | {"sums": sums.tolist(), "bits": bits}) and LF,
-    # written in pieces so the V sums never become a list of Python ints
-    # and the sums are never copied into one line
-    sys.stdout.write(f'{json.dumps(out)[:-1]}, "sums": ')
-    sys.stdout.write(_json_int_list(sums, len(stations)))
-    sys.stdout.write(f', "bits": "{bits}"}}\n')
+        head |= {"sigma": args.sigma, "seed": args.seed}
+        key, bits = "samples", channel.threshold_noisy(samples)
+        pieces = itertools.chain("[", (
+            ", " * bool(i) + json.dumps(samples[i:i + _SAMPLE_BLOCK].tolist())[1:-1]
+            for i in range(0, samples.size, _SAMPLE_BLOCK)), "]")
+    else:
+        sums = channel.superpose(cb, stations)
+        key, bits = "sums", channel.demodulate(sums)
+        pieces = [_json_int_list(sums, len(stations))]
+    # json.dumps(head | {key: values.tolist(), "bits": bits}) and LF,
+    # written in pieces so the V values never become one list of Python
+    # numbers and the JSON is never joined into one line
+    sys.stdout.write(f'{json.dumps(head)[:-1]}, "{key}": ')
+    sys.stdout.writelines(pieces)
+    sys.stdout.write(f', "bits": "{bits_to_str(bits)}"}}\n')
     return 0
 
 

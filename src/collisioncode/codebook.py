@@ -17,7 +17,7 @@ bottom rows are one concatenation of small per-weight tables; no
 
 A document is one byte image: the ASCII header line, then a (rows, V+1)
 array whose last column is LF. Serializing fills that array;
-`serialize_codebook` decodes it to text and `gen --out` writes its bytes.
+`serialize_codebook` decodes it to text and `gen` writes its bytes.
 There is one parser, over bytes: `parse_codebook` encodes its text as
 ASCII and the CLI hands it a file's bytes. It finds the header line by
 one search of the buffer in place, reads the rows off the image without

@@ -4,14 +4,15 @@ A basestation broadcasts to its stations each round. Every station that
 detects the broadcast (an independent Bernoulli event per station per
 round) replies simultaneously with its codeword; the basestation decodes
 the superimposed ACK to learn exactly which stations received, and
-re-addresses only the unconfirmed ones next round. On the ideal channel
-the decoded set always equals the set that actually ACKed; with Gaussian
-noise enabled a round can decode to nothing (no-match), which confirms
-nobody.
+re-addresses only the unconfirmed ones next round. Every round takes the
+one noisy-channel path; the ideal channel is its noise_sigma=0 case,
+whose samples are the exact integer sums, and there the decoded set
+always equals the set that actually ACKed. With noise a round can decode
+to nothing (no-match), which confirms nobody.
 
 Sessions are fully deterministic given the config seed: round seeds are
 drawn from a master PCG64 stream, and each round draws its per-station
-losses and its noise seed from its own generator.
+losses, then its noise seed, from its own generator.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ class SessionConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.noise_sigma < 0:
+        if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be >= 0")
 
 
@@ -99,12 +100,9 @@ def run_round(cb: Codebook, intended, cfg: SessionConfig, round_seed: int,
     order = sorted(targets)
     draws = rng.random(len(order))
     received = frozenset(s for s, u in zip(order, draws) if u >= cfg.loss_prob)
-    if cfg.noise_sigma > 0:
-        noise_seed = int(rng.integers(0, 2 ** 63))
-        bits = channel.threshold_noisy(channel.superpose_noisy(
-            cb, received, cfg.noise_sigma, noise_seed))
-    else:
-        bits = channel.demodulate(channel.superpose(cb, received))
+    noise_seed = int(rng.integers(0, 2 ** 63))
+    bits = channel.threshold_noisy(channel.superpose_noisy(
+        cb, received, cfg.noise_sigma, noise_seed))
     outcome = decoder.decode_exact(cb, bits)
     if outcome.kind == decoder.IDENTIFIED:
         newly = outcome.stations & targets

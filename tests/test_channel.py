@@ -223,6 +223,17 @@ class TestNoisyChannel:
         with pytest.raises(ValueError):
             cc.superpose_noisy(cb, {1}, 0.1, -1)
 
+    @pytest.mark.parametrize("sigma", [-1e-300, -1.0, float("nan"),
+                                       float("inf"), float("-inf")])
+    def test_rejects_sigma_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+            cc.superpose_noisy(cached_codebook(3), {1}, sigma, 0)
+
+    def test_negative_zero_sigma_is_exact(self):
+        cb = cached_codebook(5)
+        assert np.array_equal(cc.superpose_noisy(cb, {2, 4}, -0.0, 3),
+                              cc.superpose(cb, {2, 4}))
+
     def test_threshold_midpoint(self):
         samples = np.array([0.49, 0.51, -3.0])
         assert cc.bits_to_str(cc.threshold_noisy(samples)) == "010"

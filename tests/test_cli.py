@@ -56,16 +56,43 @@ class TestGen:
         assert path.read_bytes() == cc.serialize_codebook(
             cc.build_codebook(n)).encode()
 
-    @pytest.mark.parametrize("n, sha256", [
+    # sha256 of the document beyond the oracle's sizes
+    DIGESTS = [
         (21, "2be7fb698e4e072f9847f7d083b0609a3fe786ec0fc937902fed9c287715f4f1"),
         (24, "c7ab5042e34a2afeb690ff11a0feaf1260ab90b90304dd6b545155c0a82b4f2a"),
         (25, "aa45acbc9e1a7a7a17f16329a28655882f88eab690f77430c711bf94ab73c36d"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("n, sha256", DIGESTS)
     def test_out_file_digest_beyond_the_oracle(self, capsys, tmp_path, n,
                                                sha256):
         path = tmp_path / "cb.txt"
         assert run(capsys, ["gen", "--n", str(n), "--out", str(path)])[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_stdout_is_the_out_file(self, capsysbinary, tmp_path, n):
+        path = tmp_path / "cb.txt"
+        assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert main(["gen", "--n", str(n)]) == 0
+        assert capsysbinary.readouterr() == (path.read_bytes(), b"")
+
+    @pytest.mark.parametrize("n, sha256", DIGESTS)
+    def test_stdout_digest_beyond_the_oracle(self, capsysbinary, n, sha256):
+        assert main(["gen", "--n", str(n)]) == 0
+        out, err = capsysbinary.readouterr()
+        assert hashlib.sha256(out).hexdigest() == sha256 and err == b""
+
+    def test_stdout_follows_buffered_text(self, monkeypatch):
+        # the image goes to stdout's byte layer after text still buffered
+        # in the text layer (capsys writes through, so it cannot show this)
+        stdout = io.TextIOWrapper(io.BytesIO(), "ascii")
+        monkeypatch.setattr("sys.stdout", stdout)
+        print("before", end="")
+        assert main(["gen", "--n", "3"]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == ("before" + CB3_DOC).encode()
 
 
 class TestEncode:
@@ -363,6 +390,36 @@ class TestSuperposeBytes:
                 "seed": 5, "samples": samples.tolist(),
                 "bits": cc.bits_to_str(cc.threshold_noisy(samples))}) + "\n"
 
+    @staticmethod
+    def noisy_json(cb, stations, sigma, seed):
+        samples = cc.superpose_noisy(cb, stations, sigma, seed)
+        return json.dumps({
+            "stations": stations, "v": cb.v_length, "sigma": sigma,
+            "seed": seed, "samples": samples.tolist(),
+            "bits": cc.bits_to_str(cc.threshold_noisy(samples))}) + "\n"
+
+    def test_noisy_blocks_of_any_size(self, capsys, tmp_path, monkeypatch):
+        # one sample per block, two, all but one, and all of them
+        cb = cached_codebook(7)
+        v = cb.v_length
+        for block in (1, 2, v - 1, v):
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+            for stations in ([], [3], [1, 2, 5], list(range(1, 8))):
+                assert self.stdout(
+                    capsys, tmp_path, 7, stations, "--sigma", "0.6",
+                    "--seed", "4") == self.noisy_json(cb, stations, 0.6, 4)
+
+    def test_noisy_spans_several_default_blocks(self, capsys, tmp_path):
+        # compared by digest: a failing == on 7 MB strings takes minutes
+        cb = cached_codebook(21)
+        assert cb.v_length > 5 * cli._SAMPLE_BLOCK
+        stations = [2, 7, 11, 20]
+        out, expected = (self.stdout(capsys, tmp_path, 21, stations,
+                                     "--sigma", "0.45", "--seed", "9"),
+                         self.noisy_json(cb, stations, 0.45, 9))
+        assert len(out) == len(expected) and hashlib.sha256(
+            out.encode()).digest() == hashlib.sha256(expected.encode()).digest()
+
 
 class TestDecode:
     def test_identified(self, capsys, cb3_path):
@@ -578,6 +635,23 @@ class TestSimulate:
                                     "--seed", "5"])
         assert code == 0
         assert json.loads(out)["noise_sigma"] == 0.2
+
+
+class TestSigmaRefused:
+    """A sigma that is not a finite number >= 0 is a usage error."""
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_superpose(self, capsys, cb3_path, sigma):
+        assert run(capsys, ["superpose", "--codebook", cb3_path,
+                            "--stations", "1,2", "--sigma", sigma]) == (
+            2, "", "error: sigma must be >= 0\n")
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_simulate(self, capsys, sigma):
+        assert run(capsys, ["simulate", "--n", "3", "--loss", "0.1",
+                            "--sigma", sigma, "--rounds", "4",
+                            "--seed", "1"]) == (
+            2, "", "error: noise_sigma must be >= 0\n")
 
 
 class TestNoisyDigests:

@@ -19,7 +19,8 @@ def config(n=3, loss=0.0, rounds=5, seed=1, sigma=0.0):
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"n": 0}, {"loss": -0.1}, {"loss": 1.1}, {"rounds": 0},
-        {"seed": -1}, {"sigma": -0.5},
+        {"seed": -1}, {"sigma": -0.5}, {"sigma": float("nan")},
+        {"sigma": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
