@@ -18,8 +18,7 @@ from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_CHIPS,
 from .protocol import (RoundResult, SessionConfig, SessionStats, run_round,
                        run_session)
 from .verifier import (AdditivityReport, UNIQUENESS_BUDGET_ROWS,
-                       UniquenessReport, WITNESS_SWEEP_BUDGET_ROWS,
-                       WitnessNotFoundError, WitnessReport,
+                       UniquenessReport, WitnessNotFoundError, WitnessReport,
                        WitnessSweepReport, amplitude_counts, check_additivity,
                        chip_sum, find_unit_sum_column, find_zero_sum_column,
                        sweep_witnesses, verify_no_zero_vector,
@@ -38,9 +37,9 @@ __all__ = [
     "contains_station",
     "UniquenessReport", "WitnessReport", "WitnessSweepReport",
     "AdditivityReport", "WitnessNotFoundError", "UNIQUENESS_BUDGET_ROWS",
-    "WITNESS_SWEEP_BUDGET_ROWS", "chip_sum", "amplitude_counts",
-    "find_unit_sum_column", "find_zero_sum_column", "sweep_witnesses",
-    "check_additivity", "verify_uniqueness", "verify_no_zero_vector",
+    "chip_sum", "amplitude_counts", "find_unit_sum_column",
+    "find_zero_sum_column", "sweep_witnesses", "check_additivity",
+    "verify_uniqueness", "verify_no_zero_vector",
     "SessionConfig", "RoundResult", "SessionStats", "run_round",
     "run_session",
 ]

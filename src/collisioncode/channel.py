@@ -102,6 +102,8 @@ def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> np.ndarr
     if sigma > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
         samples += rng.normal(0.0, sigma, samples.size)
+        if not np.isfinite(samples).all():  # sigma near the float maximum
+            raise ValueError(f"sigma={sigma} overflows the noisy samples")
     return samples
 
 

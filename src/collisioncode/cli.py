@@ -113,7 +113,7 @@ def cmd_decode(args) -> int:
         with open(args.vector_file, "r", encoding="ascii") as fh:
             bits = str_to_bits(fh.read().rstrip("\n"))
     if args.nearest:
-        max_dist = args.max_dist if args.max_dist >= 0 else cb.v_length
+        max_dist = cb.v_length if args.max_dist is None else args.max_dist
         outcome = decoder.decode_nearest(cb, bits, max_dist)
     else:
         outcome = decoder.decode_exact(cb, bits)
@@ -129,7 +129,7 @@ def cmd_decode(args) -> int:
 def _verify_section(check: str, cb, args) -> tuple[dict, bool]:
     """(json dict, ok) for one verification check."""
     if check == "uniqueness":
-        report = verifier.verify_uniqueness(cb, workers=args.workers)
+        report = verifier.verify_uniqueness(cb)
         return report.to_json_dict(), not report.collisions
     if check == "lemmas":
         report = verifier.sweep_witnesses(cb)
@@ -144,32 +144,28 @@ def _verify_section(check: str, cb, args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
     cb = build_codebook(args.n)
     if args.check != "all":
         section, ok = _verify_section(args.check, cb, args)
         print(json.dumps(section))
         return 0 if ok else 1
-    # read when the command runs, so the verifier's budgets are the only copy
-    budgets = {"uniqueness": verifier.UNIQUENESS_BUDGET_ROWS,
-               "lemmas": verifier.WITNESS_SWEEP_BUDGET_ROWS,
-               "zero": verifier.UNIQUENESS_BUDGET_ROWS}
+    # the budget is read when the command runs, so the verifier holds the
+    # only copy. claims runs first, so an over-budget --trials is refused
+    # before any enumeration; the keys are printed in their fixed order
+    budget = verifier.UNIQUENESS_BUDGET_ROWS
+    skipped = ({"skipped": f"n_rows={cb.n_rows} exceeds the default budget "
+                           f"of {budget}"}, True)
     results = {}
-    # claims runs first, so an over-budget --trials is refused before any
-    # enumeration; the keys are printed in their fixed order below
     for check in ("claims", "uniqueness", "lemmas", "zero"):
-        budget = budgets.get(check)
-        if budget is not None and cb.n_rows > budget:
-            results[check] = ({"skipped": f"n_rows={cb.n_rows} exceeds the "
-                                          f"default budget of {budget}"}, True)
-        else:
-            results[check] = _verify_section(check, cb, args)
-    out = {"n": cb.n_rows}
-    out.update((check, results[check][0])
-               for check in ("uniqueness", "lemmas", "claims", "zero"))
-    all_ok = all(ok for _, ok in results.values())
-    out["ok"] = all_ok
+        over = check != "claims" and cb.n_rows > budget
+        results[check] = skipped if over else _verify_section(check, cb, args)
+    out = {"n": cb.n_rows} | {check: results[check][0] for check in
+                              ("uniqueness", "lemmas", "claims", "zero")}
+    out["ok"] = all(ok for _, ok in results.values())
     print(json.dumps(out))
-    return 0 if all_ok else 1
+    return 0 if out["ok"] else 1
 
 
 def cmd_simulate(args) -> int:
@@ -215,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--vector-file", help="file holding the 0/1 string")
     d.add_argument("--nearest", action="store_true",
                    help="nearest-match decoding instead of exact")
-    d.add_argument("--max-dist", type=int, default=-1,
+    d.add_argument("--max-dist", type=int,
                    help="nearest-match distance bound (default: unbounded)")
     d.set_defaults(func=cmd_decode)
 

@@ -34,10 +34,10 @@ from `_chip_sums`:
   split on it and singletons leave. The groups left after the last tile
   are the collisions. Nothing is hashed, so no tie is ever re-checked.
 
-Enumeration budgets keep the 2^rows scans at desk scale: each enumeration
-refuses a codebook with more rows than its module-level budget, read when
-it is called. The claims trials need no row budget; a run is refused when
-its trials times V exceed _CLAIMS_BUDGET_CHIPS.
+One row budget, UNIQUENESS_BUDGET_ROWS, read whenever an enumeration is
+called, keeps all three 2^rows scans at desk scale. The claims trials need
+no row budget; a run is refused when its trials times V exceed
+_CLAIMS_BUDGET_CHIPS.
 """
 
 import itertools
@@ -52,8 +52,7 @@ from ._subsets import _chip_sums, _membership, _signed, mask_to_ids
 from .channel import _indices, _row_sums
 from .codebook import Codebook, SizeLimitError
 
-UNIQUENESS_BUDGET_ROWS = 15
-WITNESS_SWEEP_BUDGET_ROWS = 11
+UNIQUENESS_BUDGET_ROWS = 15  # rows of every enumeration
 _TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
 _DRAW_TRIALS = 1 << 12  # claims trials drawn and checked at once
 # trial chips (trials times V) of one claims run: the default 1000 trials
@@ -268,9 +267,10 @@ def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in chars]
 
 
-def _check_budget(m: int, budget: int, name: str) -> None:
-    if m > budget:
-        raise SizeLimitError(f"n_rows={m} exceeds the {name} budget of {budget}")
+def _check_budget(m: int, name: str) -> None:
+    if m > UNIQUENESS_BUDGET_ROWS:
+        raise SizeLimitError(f"n_rows={m} exceeds the {name} budget of "
+                             f"{UNIQUENESS_BUDGET_ROWS}")
 
 
 def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
@@ -286,7 +286,7 @@ def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
         return (sums == (np.bitwise_count(masks) & 1)[:, None]).any(axis=1)
 
     m = cb.n_rows
-    _check_budget(m, WITNESS_SWEEP_BUDGET_ROWS, "witness sweep")
+    _check_budget(m, "witness sweep")
     t0 = time.perf_counter()
     unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1), settles)
     failures = sorted(mask_to_ids(mask) for mask in unsettled.tolist())
@@ -344,12 +344,11 @@ def verify_uniqueness(cb: Codebook, workers: int = 1) -> UniquenessReport:
     The collision list must come back empty for a correct codebook. The
     subsets are split into exact groups of equal demodulated vectors by
     `_colliding_groups`, which compares whole tiles of bits, never hashes,
-    so every group it returns is a set of true collisions. `workers` is
-    validated for the CLI's sake; the refinement runs in one thread, and
-    the report is the same for any worker count.
+    so every group it returns is a set of true collisions. `workers` must
+    be >= 1 and changes nothing: the refinement runs in one thread.
     """
     m = cb.n_rows
-    _check_budget(m, UNIQUENESS_BUDGET_ROWS, "uniqueness")
+    _check_budget(m, "uniqueness")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
@@ -372,6 +371,6 @@ def verify_no_zero_vector(cb: Codebook) -> bool:
     positive sum; the check fails only if one survives every tile.
     """
     m = cb.n_rows
-    _check_budget(m, UNIQUENESS_BUDGET_ROWS, "uniqueness")
+    _check_budget(m, "uniqueness")
     return not _unsettled(cb.matrix(), np.arange(1, 1 << m),
                           lambda sums, _: (sums > 0).any(axis=1)).size

@@ -93,7 +93,7 @@ def test_criterion_05_codeword_length():
 
 def test_criterion_06_witness_sweeps():
     checked = 0
-    for n in range(1, 12):
+    for n in range(1, 16):
         report = cc.sweep_witnesses(cached_codebook(n))
         assert report.failures == [], (n, report.failures)
         checked += report.subsets_checked

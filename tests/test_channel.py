@@ -229,6 +229,12 @@ class TestNoisyChannel:
         with pytest.raises(ValueError, match="^sigma must be >= 0$"):
             cc.superpose_noisy(cached_codebook(3), {1}, sigma, 0)
 
+    def test_rejects_samples_that_overflow(self):
+        with pytest.raises(ValueError, match=r"^sigma=1\.7e\+308 overflows"):
+            cc.superpose_noisy(cached_codebook(3), {1}, 1.7e308, 3)
+        samples = cc.superpose_noisy(cached_codebook(3), {1}, 1e300, 3)
+        assert np.isfinite(samples).all() and np.abs(samples).max() > 1e299
+
     def test_negative_zero_sigma_is_exact(self):
         cb = cached_codebook(5)
         assert np.array_equal(cc.superpose_noisy(cb, {2, 4}, -0.0, 3),

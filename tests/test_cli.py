@@ -497,6 +497,13 @@ class TestDecode:
         assert code == 2 and out == ""
         assert "nearest-decode budget" in err
 
+    @pytest.mark.parametrize("max_dist", ["-1", "-7"])
+    def test_negative_max_dist_is_usage_error(self, capsys, cb3_path,
+                                              max_dist):
+        assert run(capsys, ["decode", "--codebook", cb3_path, "--vector",
+                            "110", "--nearest", "--max-dist", max_dist]) == (
+            2, "", "error: max_dist must be >= 0\n")
+
     def test_vector_and_file_are_exclusive(self, capsys, cb3_path, tmp_path):
         vec = tmp_path / "vec.txt"
         vec.write_text("110\n")
@@ -566,22 +573,52 @@ class TestVerify:
                                 "ok"}
 
     def test_all_skips_over_budget_sweep(self, capsys):
+        """Within the one row budget the sweep runs: n=13 is not skipped."""
         code, out, _ = run(capsys, ["verify", "--n", "13", "--check", "all",
                                     "--trials", "10"])
         assert code == 0
         payload = json.loads(out)
-        assert "skipped" in payload["lemmas"]
+        assert payload["lemmas"]["failures"] == []
+        assert payload["lemmas"]["subsets_checked"] == 8190
         assert payload["uniqueness"]["distinct_vectors"] == 8191
+
+    def test_all_skips_every_enumeration_over_budget(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--n", "16", "--check", "all",
+                                    "--trials", "10"])
+        assert code == 0
+        payload = json.loads(out)
+        for check in ("uniqueness", "lemmas", "zero"):
+            assert payload[check] == {
+                "skipped": "n_rows=17 exceeds the default budget of 15"}
+        assert payload["claims"]["ok"] and payload["ok"]
 
     def test_all_reads_budgets_at_run_time(self, capsys, monkeypatch):
         monkeypatch.setattr(verifier, "UNIQUENESS_BUDGET_ROWS", 6)
         code, out, _ = run(capsys, ["verify", "--n", "7", "--check", "all"])
         assert code == 0
         payload = json.loads(out)
-        for check in ("uniqueness", "zero"):
+        for check in ("uniqueness", "lemmas", "zero"):
             assert payload[check] == {
                 "skipped": "n_rows=7 exceeds the default budget of 6"}
-        assert payload["lemmas"]["failures"] == []
+
+    @pytest.mark.parametrize("n,checked", [(12, 8190), (15, 32766)])
+    def test_lemmas_within_the_budget(self, capsys, n, checked):
+        code, out, _ = run(capsys, ["verify", "--n", str(n), "--check",
+                                    "lemmas"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["failures"] == [] and payload["subsets_checked"] == checked
+
+    @pytest.mark.parametrize("argv", [
+        "--n 7 --check zero", "--n 7 --check lemmas", "--n 7 --check claims",
+        "--n 7 --check uniqueness", "--n 7 --check all",
+        "--n 16 --check all --trials 5"])
+    def test_workers_below_one_is_usage_error(self, capsys, monkeypatch, argv):
+        def built(n):
+            raise AssertionError("the codebook was built")
+        monkeypatch.setattr(cli, "build_codebook", built)
+        assert run(capsys, ["verify", *argv.split(), "--workers", "0"]) == (
+            2, "", "error: workers must be >= 1\n")
 
     @pytest.mark.parametrize("check", ["claims", "all"])
     def test_over_budget_claims_is_usage_error(self, capsys, check):
@@ -652,6 +689,18 @@ class TestSigmaRefused:
                             "--sigma", sigma, "--rounds", "4",
                             "--seed", "1"]) == (
             2, "", "error: noise_sigma must be >= 0\n")
+
+    def test_superpose_overflow(self, capsys, cb3_path):
+        assert run(capsys, ["superpose", "--codebook", cb3_path,
+                            "--stations", "1", "--sigma", "1.7e308",
+                            "--seed", "3"]) == (
+            2, "", "error: sigma=1.7e+308 overflows the noisy samples\n")
+
+    def test_simulate_overflow(self, capsys):
+        assert run(capsys, ["simulate", "--n", "7", "--loss", "0.1",
+                            "--sigma", "1.7e308", "--rounds", "4",
+                            "--seed", "1"]) == (
+            2, "", "error: sigma=1.7e+308 overflows the noisy samples\n")
 
 
 class TestNoisyDigests:

@@ -165,17 +165,19 @@ class TestWitnesses:
                 report = cc.find_zero_sum_column(cb, subset)
                 assert cc.chip_sum(cb, subset, report.column) == 0
 
-    @pytest.mark.parametrize("n", list(range(1, 12)))
+    @pytest.mark.parametrize("n", list(range(1, 16)))
     def test_sweep_finds_no_failures(self, n):
         report = cc.sweep_witnesses(cached_codebook(n))
         assert report.failures == []
         assert report.subsets_checked == max(2 ** report.n - 2, 0)
 
     def test_sweep_budget(self, monkeypatch):
-        with pytest.raises(cc.SizeLimitError):
-            cc.sweep_witnesses(cached_codebook(13))
-        monkeypatch.setattr(verifier, "WITNESS_SWEEP_BUDGET_ROWS", 13)
-        cc.sweep_witnesses(cached_codebook(13))
+        with pytest.raises(cc.SizeLimitError, match=r"^n_rows=17 exceeds the "
+                                                    r"witness sweep budget of 15$"):
+            cc.sweep_witnesses(cached_codebook(16))
+        monkeypatch.setattr(verifier, "UNIQUENESS_BUDGET_ROWS", 17)
+        report = cc.sweep_witnesses(cached_codebook(16))
+        assert report.failures == [] and report.subsets_checked == 2 ** 17 - 2
 
 
 class TestAdditivity:
@@ -307,13 +309,15 @@ class TestUniqueness:
             cc.verify_uniqueness(cached_codebook(3), workers=0)
 
     @pytest.mark.parametrize("check", [cc.verify_uniqueness,
-                                       cc.verify_no_zero_vector])
+                                       cc.verify_no_zero_vector,
+                                       cc.sweep_witnesses])
     def test_budget_is_read_at_call_time(self, check, monkeypatch):
         cb = cached_codebook(7)
         check(cb)
         monkeypatch.setattr(verifier, "UNIQUENESS_BUDGET_ROWS", 6)
+        name = "witness sweep" if check is cc.sweep_witnesses else "uniqueness"
         with pytest.raises(cc.SizeLimitError,
-                           match=r"^n_rows=7 exceeds the uniqueness budget of 6$"):
+                           match=rf"^n_rows=7 exceeds the {name} budget of 6$"):
             check(cb)
 
     @pytest.mark.parametrize("n_rows,src,dst", [(3, 1, 2), (5, 4, 2),
