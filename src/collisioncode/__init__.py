@@ -13,14 +13,11 @@ from .codebook import (Codebook, FormatError, InvariantError, MAX_STATIONS,
                        codeword_for, parse_codebook, serialize_codebook,
                        str_to_bits)
 from .decoder import (DecodeOutcome, IDENTIFIED, NEAREST_BUDGET_CHIPS,
-                      NOMATCH, SILENCE, contains_station, decode_exact,
-                      decode_nearest)
+                      NOMATCH, SILENCE, decode_exact, decode_nearest)
 from .protocol import (RoundResult, SessionConfig, SessionStats, run_round,
                        run_session)
 from .verifier import (AdditivityReport, UNIQUENESS_BUDGET_ROWS,
-                       UniquenessReport, WitnessNotFoundError, WitnessReport,
-                       WitnessSweepReport, amplitude_counts, check_additivity,
-                       chip_sum, find_unit_sum_column, find_zero_sum_column,
+                       UniquenessReport, WitnessSweepReport, check_additivity,
                        sweep_witnesses, verify_no_zero_vector,
                        verify_uniqueness)
 
@@ -34,11 +31,8 @@ __all__ = [
     "SizeLimitError", "FormatError", "InvariantError",
     "DecodeOutcome", "IDENTIFIED", "SILENCE", "NOMATCH",
     "NEAREST_BUDGET_CHIPS", "decode_exact", "decode_nearest",
-    "contains_station",
-    "UniquenessReport", "WitnessReport", "WitnessSweepReport",
-    "AdditivityReport", "WitnessNotFoundError", "UNIQUENESS_BUDGET_ROWS",
-    "chip_sum", "amplitude_counts", "find_unit_sum_column",
-    "find_zero_sum_column", "sweep_witnesses", "check_additivity",
+    "UniquenessReport", "WitnessSweepReport", "AdditivityReport",
+    "UNIQUENESS_BUDGET_ROWS", "sweep_witnesses", "check_additivity",
     "verify_uniqueness", "verify_no_zero_vector",
     "SessionConfig", "RoundResult", "SessionStats", "run_round",
     "run_session",

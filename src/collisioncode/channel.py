@@ -25,35 +25,24 @@ def modulate(bit: int) -> int:
     return 2 * bit - 1
 
 
-def _indices(ids, top: int, what: str) -> list[int]:
-    """Sorted 0-based indices of the distinct 1-based ids, all in 1..top."""
-    ids = sorted({int(i) for i in ids})
-    if ids and not (1 <= ids[0] and ids[-1] <= top):
-        raise ValueError(f"{what} ids must lie in 1..{top}, got {ids}")
-    return [i - 1 for i in ids]
-
-
 def superpose(cb: Codebook, stations) -> np.ndarray:
     """Columnwise int16 amplitude sums of the given stations' codewords.
 
     Every entry has absolute value at most the subset size and the same
     parity as the subset size; the empty subset (silence) yields all zeros.
+    The ones of each column are added row by row in place, in the narrowest
+    type that holds the subset size, and the sums are 2 * ones - size.
     """
-    return _row_sums(cb, _indices(stations, cb.n_stations, "station"))
-
-
-def _row_sums(cb: Codebook, idx: list[int]) -> np.ndarray:
-    """int16 chip sums 2 * ones - len(idx) over the 0-based rows idx.
-
-    The ones of each column are added row by row in place, in the
-    narrowest type that holds len(idx).
-    """
+    ids = sorted({int(i) for i in stations})
+    if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
+        raise ValueError(
+            f"station ids must lie in 1..{cb.n_stations}, got {ids}")
     m = cb.matrix()
-    ones = np.zeros(cb.v_length, np.min_scalar_type(len(idx)))
-    for i in idx:
-        np.add(ones, m[i], out=ones)
+    ones = np.zeros(cb.v_length, np.min_scalar_type(len(ids)))
+    for i in ids:
+        np.add(ones, m[i - 1], out=ones)
     sums = np.multiply(ones, 2, dtype=np.int16)
-    sums -= len(idx)
+    sums -= len(ids)
     return sums
 
 

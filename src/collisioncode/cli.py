@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import channel, decoder, protocol, verifier
-from .codebook import (FormatError, InvariantError, SizeLimitError,
-                       _document_image, _parse_bytes, bits_to_str,
-                       build_codebook, codeword_for, str_to_bits)
+from .codebook import (FormatError, _document_image, _parse_bytes,
+                       bits_to_str, build_codebook, codeword_for, str_to_bits)
 
 
 def _load_codebook(path: str):
@@ -73,6 +72,8 @@ _SAMPLE_BLOCK = 1 << 16  # noisy samples per json.dumps call in superpose
 
 
 def cmd_superpose(args) -> int:
+    if args.seed < 0:  # at every sigma, before the codebook is read
+        raise ValueError("seed must be a non-negative integer")
     cb = _load_codebook(args.codebook)
     stations = _parse_stations(args.stations)
     head = {"stations": sorted(stations), "v": cb.v_length}
@@ -144,8 +145,13 @@ def _verify_section(check: str, cb, args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> int:
+    # every option is checked for every --check, before the build
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     cb = build_codebook(args.n)
     if args.check != "all":
         section, ok = _verify_section(args.check, cb, args)
@@ -253,8 +259,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, InvariantError, SizeLimitError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

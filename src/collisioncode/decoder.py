@@ -241,19 +241,3 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
                         ^ {i for i in range(n_lo) if lo_mask >> i & 1})
                 ties += at.size
     return best, best_set, ties
-
-
-def contains_station(cb: Codebook, received, station: int) -> str:
-    """Membership of one station in a received vector's preimage.
-
-    Returns "present", "absent" (including silence), or "undecodable" when
-    the vector has no preimage."""
-    if not 1 <= station <= cb.n_stations:
-        raise ValueError(
-            f"station {station} out of range 1..{cb.n_stations}")
-    outcome = decode_exact(cb, received)
-    if outcome.kind == IDENTIFIED:
-        return "present" if station in outcome.stations else "absent"
-    if outcome.kind == SILENCE:
-        return "absent"
-    return "undecodable"

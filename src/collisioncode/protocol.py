@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, decoder
-from .codebook import Codebook, build_codebook
+from .codebook import Codebook, SizeLimitError, build_codebook
+
+# rounds of one session: bounds the per_round record and, since a round
+# superposes V chips, keeps a session's chips within the verifier's claims
+# budget (1000 trials of V chips at the 25-station cap) at every n
+_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,9 @@ class SessionConfig:
             raise ValueError("loss_prob must lie in [0, 1]")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.max_rounds > _MAX_ROUNDS:
+            raise SizeLimitError(f"max_rounds={self.max_rounds} exceeds the "
+                                 f"round budget of {_MAX_ROUNDS}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not 0 <= self.noise_sigma < np.inf:

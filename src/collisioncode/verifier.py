@@ -49,7 +49,6 @@ import numpy as np
 
 from . import _subsets
 from ._subsets import _chip_sums, _membership, _signed, mask_to_ids
-from .channel import _indices, _row_sums
 from .codebook import Codebook, SizeLimitError
 
 UNIQUENESS_BUDGET_ROWS = 15  # rows of every enumeration
@@ -58,18 +57,6 @@ _DRAW_TRIALS = 1 << 12  # claims trials drawn and checked at once
 # trial chips (trials times V) of one claims run: the default 1000 trials
 # at the 25-station cap
 _CLAIMS_BUDGET_CHIPS = 1000 * math.comb(25, 13)
-
-
-class WitnessNotFoundError(RuntimeError):
-    """A guaranteed witness column is missing: implementation bug."""
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """A column witnessing the expected chip sum for one row subset."""
-    rows: frozenset[int]
-    column: int  # 1-based
-    chip_sum: int
 
 
 @dataclass
@@ -126,64 +113,6 @@ class AdditivityReport:
             "ok": self.ok,
             "counterexample": self.counterexample,
         }
-
-
-def _ones_at(cb: Codebook, rows, col: int) -> tuple[int, int]:
-    """(ones, size): one-bits of a row subset at a 1-based column, and its size."""
-    idx = _indices(rows, cb.n_rows, "row")
-    if not 1 <= col <= cb.v_length:
-        raise ValueError(f"column {col} out of range 1..{cb.v_length}")
-    ones = int(cb.matrix()[idx, col - 1].sum()) if idx else 0
-    return ones, len(idx)
-
-
-def chip_sum(cb: Codebook, rows, col: int) -> int:
-    """Signed amplitude sum of a row subset at a 1-based column.
-
-    Equals (ones minus zeros) over the subset's bits at that column and
-    agrees entrywise with the channel's superposition.
-    """
-    ones, size = _ones_at(cb, rows, col)
-    return 2 * ones - size
-
-
-def amplitude_counts(cb: Codebook, rows, col: int) -> tuple[int, int]:
-    """(plus, minus): how many rows of the subset carry +1 and -1 at col."""
-    ones, size = _ones_at(cb, rows, col)
-    return ones, size - ones
-
-
-# chip sum a witness must reach -> (subset precondition, name of the sum)
-_WITNESS_KINDS = {1: ("a proper non-empty subset of odd size", "+1"),
-                  0: ("a proper subset of non-zero even size", "zero")}
-
-
-def _find_witness(cb: Codebook, rows, target: int) -> WitnessReport:
-    """Smallest column where the subset sums to target, whose parity the
-    subset size must share."""
-    what, name = _WITNESS_KINDS[target]
-    idx = _indices(rows, cb.n_rows, "row")
-    ids = sorted(i + 1 for i in idx)
-    if not idx or len(idx) % 2 != target or len(idx) == cb.n_rows:
-        raise ValueError(f"rows must be {what}, got {ids} of {cb.n_rows} rows")
-    cols = np.flatnonzero(_row_sums(cb, idx) == target)
-    if not cols.size:
-        raise WitnessNotFoundError(f"no {name} column for rows {ids}")
-    return WitnessReport(frozenset(ids), int(cols[0]) + 1, target)
-
-
-def find_unit_sum_column(cb: Codebook, rows) -> WitnessReport:
-    """Smallest column where an odd proper row subset sums to exactly +1.
-
-    Such a column always exists by construction; failing to find one means
-    the matrix is broken, so that case raises instead of returning.
-    """
-    return _find_witness(cb, rows, 1)
-
-
-def find_zero_sum_column(cb: Codebook, rows) -> WitnessReport:
-    """Smallest column where an even-size proper row subset sums to 0."""
-    return _find_witness(cb, rows, 0)
 
 
 def _column_tiles(v: int) -> list[np.ndarray]:

@@ -313,6 +313,16 @@ class TestSuperpose:
                                     "--stations", "none"])
         assert json.loads(out)["sums"] == [0, 0, 0]
 
+    @pytest.mark.parametrize("sigma", ["0", "0.1", "-1", "nan", "1.7e308"])
+    def test_negative_seed_refused_before_the_load(self, capsys, monkeypatch,
+                                                   sigma):
+        def loaded(path):
+            raise AssertionError("the codebook was read")
+        monkeypatch.setattr(cli, "_load_codebook", loaded)
+        assert run(capsys, ["superpose", "--codebook", "cb.txt", "--stations",
+                            "1", "--sigma", sigma, "--seed", "-1"]) == (
+            2, "", "error: seed must be a non-negative integer\n")
+
     def test_noisy_profile_reproducible(self, capsys, cb3_path):
         argv = ["superpose", "--codebook", cb3_path, "--stations", "1",
                 "--sigma", "0.1", "--seed", "42"]
@@ -609,16 +619,32 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["failures"] == [] and payload["subsets_checked"] == checked
 
-    @pytest.mark.parametrize("argv", [
+    # every --check, within the enumeration budget and over it
+    EVERY_CHECK = [
         "--n 7 --check zero", "--n 7 --check lemmas", "--n 7 --check claims",
         "--n 7 --check uniqueness", "--n 7 --check all",
-        "--n 16 --check all --trials 5"])
+        "--n 16 --check all --trials 5"]
+
+    @pytest.mark.parametrize("argv", EVERY_CHECK)
     def test_workers_below_one_is_usage_error(self, capsys, monkeypatch, argv):
         def built(n):
             raise AssertionError("the codebook was built")
         monkeypatch.setattr(cli, "build_codebook", built)
         assert run(capsys, ["verify", *argv.split(), "--workers", "0"]) == (
             2, "", "error: workers must be >= 1\n")
+
+    @pytest.mark.parametrize("argv", [*EVERY_CHECK, "--n 26 --check zero"])
+    @pytest.mark.parametrize("option, message", [
+        ("--seed -1", "seed must be a non-negative integer"),
+        ("--trials 0", "trials must be >= 1"),
+        ("--trials -5", "trials must be >= 1")])
+    def test_bad_seed_or_trials_refused_before_the_build(
+            self, capsys, monkeypatch, argv, option, message):
+        def built(n):
+            raise AssertionError("the codebook was built")
+        monkeypatch.setattr(cli, "build_codebook", built)
+        assert run(capsys, ["verify", *argv.split(), *option.split()]) == (
+            2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("check", ["claims", "all"])
     def test_over_budget_claims_is_usage_error(self, capsys, check):
@@ -665,6 +691,16 @@ class TestSimulate:
         [r] = json.loads(out)["per_round"]
         assert r["decoded"] in ("identified", "silence")
         assert r["confirmed"] == r["received"]
+
+    def test_round_budget(self, capsys):
+        """A session never confirms anyone at loss 1, so it runs every round."""
+        argv = ["simulate", "--n", "3", "--loss", "1", "--seed", "1", "--rounds"]
+        code, out, err = run(capsys, [*argv, "1000"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["rounds_used"] == 1000 and not payload["completed"]
+        assert run(capsys, [*argv, "1001"]) == (
+            2, "", "error: max_rounds=1001 exceeds the round budget of 1000\n")
 
     def test_sigma_flag(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--n", "3", "--loss", "0.1",

@@ -421,20 +421,3 @@ class TestNearestAgainstScan:
             received = noisy_vector(cb, subset, 0.3, seed)
             assert cc.decode_nearest(cb, received, 200) == scan_nearest(
                 cb, received, 200)
-
-
-class TestContainsStation:
-    def test_examples(self):
-        cb = cached_codebook(3)
-        assert cc.contains_station(cb, cc.str_to_bits("100"), 1) == "present"
-        assert cc.contains_station(cb, cc.str_to_bits("100"), 3) == "absent"
-        assert cc.contains_station(cb, cc.str_to_bits("000"), 2) == "absent"
-
-    def test_undecodable(self):
-        vector = smallest_unreachable(5)
-        assert cc.contains_station(
-            cached_codebook(5), cc.str_to_bits(vector), 1) == "undecodable"
-
-    def test_rejects_bad_station(self):
-        with pytest.raises(ValueError):
-            cc.contains_station(cached_codebook(3), cc.str_to_bits("100"), 4)

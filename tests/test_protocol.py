@@ -26,6 +26,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(**kwargs)
 
+    def test_round_budget(self):
+        stats = protocol.run_session(config(n=3, loss=1.0, rounds=1000))
+        assert stats.rounds_used == 1000 and not stats.completed
+        with pytest.raises(cc.SizeLimitError, match=r"^max_rounds=1001 "
+                           r"exceeds the round budget of 1000$"):
+            config(n=25, rounds=1001)
+
 
 class TestRunRound:
     def test_lossless_round_identifies_everyone(self):

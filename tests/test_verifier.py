@@ -1,4 +1,4 @@
-"""Chip-sum operations and the exhaustive code checks."""
+"""The verifier's exhaustive and seeded code checks."""
 
 import functools
 import math
@@ -9,17 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
 from collisioncode import _subsets, verifier
 from collisioncode._subsets import count_blocks, demod_blocks, mask_to_ids
 from conftest import cached_codebook
 import oracles
-
-
-def row_subset_strategy(n_rows, min_size=0):
-    return st.sets(st.integers(1, n_rows), min_size=min_size).map(frozenset)
 
 
 def corrupted_rows(n_rows, src, dst):
@@ -47,124 +42,7 @@ def brute_force_uniqueness(rows):
     return collisions, len(groups)
 
 
-class TestChipSum:
-    def test_full_set_is_one_everywhere(self):
-        cb = cached_codebook(3)
-        for col in range(1, 4):
-            assert cc.chip_sum(cb, {1, 2, 3}, col) == 1
-
-    def test_empty_subset(self):
-        assert cc.chip_sum(cached_codebook(3), set(), 2) == 0
-
-    def test_pair_at_first_column(self):
-        assert cc.chip_sum(cached_codebook(3), {1, 2}, 1) == 2
-
-    def test_column_range(self):
-        with pytest.raises(ValueError):
-            cc.chip_sum(cached_codebook(3), {1}, 4)
-        with pytest.raises(ValueError):
-            cc.chip_sum(cached_codebook(3), {1}, 0)
-
-    def test_row_range(self):
-        with pytest.raises(ValueError):
-            cc.chip_sum(cached_codebook(3), {4}, 1)
-
-    def test_padding_row_is_addressable(self):
-        cb = cached_codebook(4)  # five rows, four stations
-        assert cc.chip_sum(cb, {5}, 1) in (-1, 1)
-
-    @given(st.integers(1, 7), st.data())
-    @settings(max_examples=50)
-    def test_agrees_with_superposition(self, n, data):
-        cb = cached_codebook(n)
-        subset = data.draw(
-            st.sets(st.integers(1, cb.n_stations), min_size=1).map(frozenset))
-        sums = cc.superpose(cb, subset)
-        for col in range(1, cb.v_length + 1):
-            assert cc.chip_sum(cb, subset, col) == int(sums[col - 1])
-
-    @given(st.integers(1, 7), st.data())
-    @settings(max_examples=50)
-    def test_agrees_with_oracle_over_rows(self, n, data):
-        cb = cached_codebook(n)
-        rows = oracles.matrix_rows(cb.n_rows)
-        subset = data.draw(row_subset_strategy(cb.n_rows))
-        col = data.draw(st.integers(1, cb.v_length))
-        assert cc.chip_sum(cb, subset, col) == oracles.chip_sum(rows, subset, col)
-
-
-class TestAmplitudeCounts:
-    def test_example_first_column(self):
-        assert cc.amplitude_counts(cached_codebook(3), {1, 2, 3}, 1) == (2, 1)
-
-    def test_empty(self):
-        assert cc.amplitude_counts(cached_codebook(3), set(), 2) == (0, 0)
-
-    def test_full_set_any_column(self):
-        cb = cached_codebook(5)
-        for col in range(1, cb.v_length + 1):
-            assert cc.amplitude_counts(cb, set(range(1, 6)), col) == (3, 2)
-
-    @given(st.integers(1, 7), st.data())
-    @settings(max_examples=50)
-    def test_identities(self, n, data):
-        cb = cached_codebook(n)
-        subset = data.draw(row_subset_strategy(cb.n_rows))
-        col = data.draw(st.integers(1, cb.v_length))
-        plus, minus = cc.amplitude_counts(cb, subset, col)
-        assert plus + minus == len(subset)
-        assert plus - minus == cc.chip_sum(cb, subset, col)
-
-
 class TestWitnesses:
-    def test_singleton_witness_at_first_column(self):
-        report = cc.find_unit_sum_column(cached_codebook(3), {1})
-        assert (report.column, report.chip_sum) == (1, 1)
-
-    def test_pair_witness_at_second_column(self):
-        report = cc.find_zero_sum_column(cached_codebook(3), {1, 2})
-        assert (report.column, report.chip_sum) == (2, 0)
-
-    def test_odd_triple_in_five_rows(self):
-        cb = cached_codebook(5)
-        report = cc.find_unit_sum_column(cb, {1, 2, 3})
-        rows = oracles.matrix_rows(5)
-        sums = [oracles.chip_sum(rows, {1, 2, 3}, c + 1) for c in range(10)]
-        assert report.column == sums.index(1) + 1
-
-    def test_even_pair_in_five_rows(self):
-        cb = cached_codebook(5)
-        report = cc.find_zero_sum_column(cb, {2, 4})
-        rows = oracles.matrix_rows(5)
-        sums = [oracles.chip_sum(rows, {2, 4}, c + 1) for c in range(10)]
-        assert report.column == sums.index(0) + 1
-
-    def test_preconditions(self):
-        cb = cached_codebook(3)
-        with pytest.raises(ValueError):
-            cc.find_unit_sum_column(cb, {1, 2})  # even size
-        with pytest.raises(ValueError):
-            cc.find_unit_sum_column(cb, {1, 2, 3})  # not proper
-        with pytest.raises(ValueError):
-            cc.find_unit_sum_column(cb, set())
-        with pytest.raises(ValueError):
-            cc.find_zero_sum_column(cb, {1})  # odd size
-        with pytest.raises(ValueError):
-            cc.find_zero_sum_column(cb, set())
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_every_proper_subset_has_witness_via_ops(self, n):
-        cb = cached_codebook(n)
-        for subset in oracles.nonempty_subsets(cb.n_rows):
-            if len(subset) == cb.n_rows:
-                continue
-            if len(subset) % 2:
-                report = cc.find_unit_sum_column(cb, subset)
-                assert cc.chip_sum(cb, subset, report.column) == 1
-            else:
-                report = cc.find_zero_sum_column(cb, subset)
-                assert cc.chip_sum(cb, subset, report.column) == 0
-
     @pytest.mark.parametrize("n", list(range(1, 16)))
     def test_sweep_finds_no_failures(self, n):
         report = cc.sweep_witnesses(cached_codebook(n))
