@@ -30,17 +30,16 @@ def superpose(cb: Codebook, stations) -> np.ndarray:
 
     Every entry has absolute value at most the subset size and the same
     parity as the subset size; the empty subset (silence) yields all zeros.
-    The ones of each column are added row by row in place, in the narrowest
-    type that holds the subset size, and the sums are 2 * ones - size.
+    A column's ones among the stations are the set bits of its value
+    (`cb.vals`) under the stations' mask, counted in one pass for any
+    subset, and the sums are 2 * ones - size.
     """
     ids = sorted({int(i) for i in stations})
     if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
         raise ValueError(
             f"station ids must lie in 1..{cb.n_stations}, got {ids}")
-    m = cb.matrix()
-    ones = np.zeros(cb.v_length, np.min_scalar_type(len(ids)))
-    for i in ids:
-        np.add(ones, m[i - 1], out=ones)
+    mask = cb.vals.dtype.type(sum(1 << (cb.n_rows - i) for i in ids))
+    ones = np.bitwise_count(cb.vals & mask)
     sums = np.multiply(ones, 2, dtype=np.int16)
     sums -= len(ids)
     return sums

@@ -7,36 +7,28 @@ error.
 """
 
 import argparse
-import itertools
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import channel, decoder, protocol, verifier
-from .codebook import (FormatError, _document_image, _parse_bytes,
-                       bits_to_str, build_codebook, codeword_for, str_to_bits)
+from .codebook import (FormatError, _parse_bytes, _read_codebook,
+                       _write_document, bits_to_str, build_codebook,
+                       codeword_for, str_to_bits)
 
 
 def _load_codebook(path: str):
     # bytes, not text mode, so CR bytes reach the parser instead of being
-    # folded into newlines, and a pipe fails as the same file would. A
-    # file is read into one numpy buffer of its size, which the parser
-    # reads the rows from without copying. numpy asks for huge pages on a
-    # buffer that large, so reading the n=25 file into it takes about 570
-    # minor page faults where a bytes object from fh.read() takes about
-    # 32,000. Whatever a pipe, or a file that changed size, holds beyond
-    # that is read to EOF and appended
+    # folded into newlines. A file is read a row at a time; stdin and a
+    # pipe are read whole first, because a refused document is read again
+    # from its start to find its first fault
     if path == "-":
         return _parse_bytes(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
-        got = fh.readinto(buf)
-        rest = fh.read()
-    if got == len(buf) and not rest:
-        return _parse_bytes(buf)
-    return _parse_bytes(buf[:got].tobytes() + rest)
+        if fh.seekable():
+            return _read_codebook(fh)
+        return _parse_bytes(fh.read())
 
 
 def _parse_stations(text: str) -> frozenset[int]:
@@ -50,15 +42,15 @@ def _parse_stations(text: str) -> frozenset[int]:
 
 
 def cmd_gen(args) -> int:
-    # the document's byte image, never decoded to a str, goes to the file
-    # or, after any buffered text, to stdout's byte layer
-    image = _document_image(build_codebook(args.n))
+    # the document's bytes, never decoded to a str, go a row at a time to
+    # the file or, after any buffered text, to stdout's byte layer
+    cb = build_codebook(args.n)
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(image)
+            _write_document(cb, fh)
     else:
         sys.stdout.flush()
-        sys.stdout.buffer.write(image)
+        _write_document(cb, sys.stdout.buffer)
     return 0
 
 
@@ -68,7 +60,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-_SAMPLE_BLOCK = 1 << 16  # noisy samples per json.dumps call in superpose
+_SAMPLE_BLOCK = 1 << 16  # sums or samples per JSON piece in superpose
 
 
 def cmd_superpose(args) -> int:
@@ -78,22 +70,26 @@ def cmd_superpose(args) -> int:
     stations = _parse_stations(args.stations)
     head = {"stations": sorted(stations), "v": cb.v_length}
     if args.sigma != 0:  # negative or NaN too, so superpose_noisy refuses it
-        samples = channel.superpose_noisy(cb, stations, args.sigma, args.seed)
+        values = channel.superpose_noisy(cb, stations, args.sigma, args.seed)
         head |= {"sigma": args.sigma, "seed": args.seed}
-        key, bits = "samples", channel.threshold_noisy(samples)
-        pieces = itertools.chain("[", (
-            ", " * bool(i) + json.dumps(samples[i:i + _SAMPLE_BLOCK].tolist())[1:-1]
-            for i in range(0, samples.size, _SAMPLE_BLOCK)), "]")
+        key, bits = "samples", channel.threshold_noisy(values)
+
+        def dumps(block):
+            return json.dumps(block.tolist())
     else:
-        sums = channel.superpose(cb, stations)
-        key, bits = "sums", channel.demodulate(sums)
-        pieces = [_json_int_list(sums, len(stations))]
+        values = channel.superpose(cb, stations)
+        key, bits = "sums", channel.demodulate(values)
+
+        def dumps(block):
+            return _json_int_list(block, len(stations))
     # json.dumps(head | {key: values.tolist(), "bits": bits}) and LF,
-    # written in pieces so the V values never become one list of Python
-    # numbers and the JSON is never joined into one line
-    sys.stdout.write(f'{json.dumps(head)[:-1]}, "{key}": ')
-    sys.stdout.writelines(pieces)
-    sys.stdout.write(f', "bits": "{bits_to_str(bits)}"}}\n')
+    # written a block of values at a time so that they never become one
+    # list of Python numbers and the JSON is never joined into one line
+    sys.stdout.write(f'{json.dumps(head)[:-1]}, "{key}": [')
+    sys.stdout.writelines(
+        ", " * bool(i) + dumps(values[i:i + _SAMPLE_BLOCK])[1:-1]
+        for i in range(0, values.size, _SAMPLE_BLOCK))
+    sys.stdout.write(f'], "bits": "{bits_to_str(bits)}"}}\n')
     return 0
 
 

@@ -8,25 +8,32 @@ appearing once. Columns are ordered by descending numeric value of the
 column pattern with row 1 as the most significant bit, which makes
 construction deterministic.
 
+So one integer describes each column: its value, with row 1 as the most
+significant bit. A `Codebook` holds those column values (`vals`, one
+uint32 per column at most, 21 MB at the 25-station cap), and derives the
+row arrays from them on first use: the packed rows that the decoder
+correlates with and the unpacked matrix that the verifier and nearest
+decoding read.
+
 Building splits the rows into a top and a bottom half. In descending
 order, the weight-R columns are: for each top-half pattern in descending
 order, every bottom-half pattern that completes its weight to R, also in
-descending order. So each top row is a small table row repeated, and the
-bottom rows are one concatenation of small per-weight tables; no
-2^rows range is ever enumerated.
+descending order. So the column values are each top-half value repeated
+over its run, OR'd with one concatenation of small per-weight tables of
+bottom-half values; no 2^rows range is ever enumerated.
 
-A document is one byte image: the ASCII header line, then a (rows, V+1)
-array whose last column is LF. Serializing fills that array;
-`serialize_codebook` decodes it to text and `gen` writes its bytes.
-There is one parser, over bytes: `parse_codebook` encodes its text as
-ASCII and the CLI hands it a file's bytes. It finds the header line by
-one search of the buffer in place, reads the rows off the image without
-copying the body, then re-validates the matrix through its column
-values. A document that does not read as that image goes to one fault
-finder, which scans the bytes for the first fault in the order a
-line-by-line read would meet them, so the library and the CLI accept the
-same documents and refuse the rest with the same error. Neither copies a
-refused document whole or decodes it to text.
+A document is streamed a row at a time both ways, through one reused
+buffer of V+1 bytes. Writing renders each row from the column values as
+'0'/'1' characters and LF. Reading takes the header line, then reads
+each row into the buffer, checks its length, LF and characters, and
+folds it into the column values, which are then checked. A file is read
+this way directly; `parse_codebook`, stdin and pipes go through the same
+reader over an in-memory stream. A document that does not read as a
+valid header and V-character rows goes to one fault finder, which
+scans the whole document for the first fault in the order a line-by-line
+read would meet them, so the library and the CLI accept the same
+documents and refuse the rest with the same error. The fault finder
+never decodes a refused document to text.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -40,8 +47,10 @@ File format (ASCII, LF line endings, no trailing whitespace):
     <row ROWS>
 """
 
+import io
 import math
 import re
+from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
@@ -49,7 +58,7 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-_LF = re.compile(rb"\n")  # searches a numpy buffer in place; bytes.find needs a copy
+_BLOCK_COLUMNS = 1 << 16  # columns per step of a derived row array; 8 | it
 
 
 class SizeLimitError(ValueError):
@@ -67,33 +76,75 @@ class InvariantError(ValueError):
 class Codebook:
     """Immutable constant-weight code matrix, one codeword row per station.
 
-    Built from the unpacked (n_rows, V) 0/1 matrix, which `matrix()`
-    exposes for the channel and verifier; `packed` holds the same rows 8
-    chips per byte for the decoder. Both arrays are read-only. A
+    Held as `vals`, one integer per column: the column's pattern with row
+    1 as the most significant of n_rows bits. The row arrays are derived
+    from it on first use and cached: `packed`, the rows 8 chips per byte
+    for the decoder, and `matrix()`, the unpacked (n_rows, V) 0/1 matrix
+    for the verifier and nearest decoding. Every array is read-only. A
     station's codeword is read with `codeword_for`, which keeps the
     padding row of an even station count out of reach.
+
+    The constructor takes any (n_rows, V) 0/1 matrix of at most
+    MAX_STATIONS rows and does not check it, so broken codes can be built.
     """
 
     def __init__(self, n_stations: int, bits: np.ndarray):
+        bits = np.asarray(bits, np.uint8)
+        n_rows, v = bits.shape
+        if n_rows > MAX_STATIONS:
+            raise SizeLimitError(
+                f"{n_rows} rows exceed the cap of {MAX_STATIONS}")
+        self._hold(n_stations, n_rows, _fold(iter(bits), n_rows, v))
+
+    @classmethod
+    def _of_values(cls, n_stations: int, n_rows: int,
+                   vals: np.ndarray) -> "Codebook":
+        cb = cls.__new__(cls)
+        cb._hold(n_stations, n_rows, vals)
+        return cb
+
+    def _hold(self, n_stations: int, n_rows: int, vals: np.ndarray) -> None:
         self.n_stations = int(n_stations)
-        self.n_rows, self.v_length = bits.shape
-        self.r_weight = (self.n_rows + 1) // 2
-        self.packed = np.packbits(bits, axis=1)
-        self.packed.flags.writeable = False
-        bits.flags.writeable = False
-        self._bits = bits
+        self.n_rows, self.v_length = n_rows, len(vals)
+        self.r_weight = (n_rows + 1) // 2
+        vals.flags.writeable = False
+        self.vals = vals
+
+    def _row_blocks(self):
+        """Yield (first column, (n_rows, w) bool block of the rows) over
+        the columns, _BLOCK_COLUMNS at a time."""
+        bit = (1 << np.arange(self.n_rows - 1, -1, -1)).astype(
+            self.vals.dtype)[:, None]
+        for c0 in range(0, self.v_length, _BLOCK_COLUMNS):
+            yield c0, (self.vals[c0:c0 + _BLOCK_COLUMNS] & bit) != 0
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The rows 8 chips per byte, MSB first; read-only."""
+        out = np.empty((self.n_rows, -(-self.v_length // 8)), np.uint8)
+        for c0, block in self._row_blocks():
+            out[:, c0 // 8:(c0 + _BLOCK_COLUMNS) // 8] = np.packbits(block, axis=1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        out = np.empty((self.n_rows, self.v_length), np.uint8)
+        for c0, block in self._row_blocks():
+            out[:, c0:c0 + _BLOCK_COLUMNS] = block
+        out.flags.writeable = False
+        return out
 
     def matrix(self) -> np.ndarray:
         """Unpacked (n_rows, V) uint8 matrix; read-only."""
-        return self._bits
+        return self._matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
             return NotImplemented
         return (self.n_stations == other.n_stations
                 and self.n_rows == other.n_rows
-                and self.v_length == other.v_length
-                and np.array_equal(self.packed, other.packed))
+                and np.array_equal(self.vals, other.vals))
 
     def __repr__(self) -> str:
         return (f"Codebook(n_stations={self.n_stations}, "
@@ -117,31 +168,27 @@ def build_codebook(n_stations: int) -> Codebook:
             f"(codeword length grows as C(rows, (rows+1)/2))")
     n_rows = n_stations + (n_stations % 2 == 0)
     r = (n_rows + 1) // 2
-    # each top row repeats a small table row over runs of columns, and the
-    # bottom rows are one concatenation of per-weight tables
+    # each top-half value repeats over a run of columns, and the bottom
+    # halves are one concatenation of per-weight tables
     lo_bits = n_rows // 2
-    hi_rows, hi_weights = _patterns(n_rows - lo_bits)
-    lo_rows, lo_weights = _patterns(lo_bits)
-    lo_by_weight = [lo_rows[:, lo_weights == w] for w in range(lo_bits + 1)]
-    need = r - hi_weights.astype(np.intp)
+    dtype = _column_dtype(n_rows)
+    hi_vals = _patterns(n_rows - lo_bits, dtype)
+    lo_vals = _patterns(lo_bits, dtype)
+    lo_weights = np.bitwise_count(lo_vals)
+    lo_by_weight = [lo_vals[lo_weights == w] for w in range(lo_bits + 1)]
+    need = r - np.bitwise_count(hi_vals).astype(np.intp)
     keep = (need >= 0) & (need <= lo_bits)
     need = need[keep]
-    counts = np.array([t.shape[1] for t in lo_by_weight])[need]
-    bits = np.empty((n_rows, int(counts.sum())), np.uint8)
-    for i, row in enumerate(hi_rows[:, keep]):
-        bits[i] = np.repeat(row, counts)
-    np.concatenate([lo_by_weight[w] for w in need], axis=1,
-                   out=bits[len(hi_rows):])
-    return Codebook(n_stations, bits)
+    counts = np.array([t.size for t in lo_by_weight])[need]
+    vals = np.empty(int(counts.sum()), dtype)
+    np.concatenate([lo_by_weight[w] for w in need], out=vals)
+    vals |= np.repeat(hi_vals[keep] << lo_bits, counts)
+    return Codebook._of_values(n_stations, n_rows, vals)
 
 
-def _patterns(n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every n_bits-bit pattern as a column of an (n_bits, 2^n_bits) 0/1
-    matrix, in descending value order with row 1 as the MSB, and the
-    weight of each."""
-    vals = np.arange((1 << n_bits) - 1, -1, -1)
-    shifts = np.arange(n_bits - 1, -1, -1)[:, None]
-    return (vals >> shifts & 1).astype(np.uint8), np.bitwise_count(vals)
+def _patterns(n_bits: int, dtype: np.dtype) -> np.ndarray:
+    """Every n_bits-bit value, in descending order."""
+    return np.arange((1 << n_bits) - 1, -1, -1, dtype=dtype)
 
 
 def _column_dtype(n_rows: int) -> np.dtype:
@@ -149,12 +196,22 @@ def _column_dtype(n_rows: int) -> np.dtype:
     return np.min_scalar_type((1 << n_rows) - 1)
 
 
+def _byte_plane(cb: Codebook, bit: int) -> np.ndarray:
+    """Contiguous uint8 copy of the byte of each column value that holds
+    bit `bit` (bit n_rows - 1 is row 1)."""
+    little = cb.vals.astype(cb.vals.dtype.newbyteorder("<"), copy=False)
+    return np.ascontiguousarray(little.view(np.uint8)[bit // 8::cb.vals.itemsize])
+
+
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
     """Length-V codeword the given station transmits as its ACK payload,
     as a read-only 0/1 vector."""
     if not 1 <= station <= cb.n_stations:
         raise ValueError(f"station {station} out of range 1..{cb.n_stations}")
-    return cb.matrix()[station - 1]
+    bit = cb.n_rows - station
+    bits = _byte_plane(cb, bit) >> bit % 8 & 1
+    bits.flags.writeable = False
+    return bits
 
 
 def bits_to_str(bits: np.ndarray) -> str:
@@ -176,19 +233,27 @@ def str_to_bits(s: str) -> np.ndarray:
 
 def serialize_codebook(cb: Codebook) -> str:
     """Canonical text form; the same codebook always yields identical bytes."""
-    return str(_document_image(cb).data, "ascii")
+    out = io.BytesIO()
+    _write_document(cb, out)
+    return str(out.getbuffer(), "ascii")
 
 
-def _document_image(cb: Codebook) -> np.ndarray:
-    """The bytes of the canonical document, as one uint8 array."""
-    header = (f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
-              f"R={cb.r_weight} V={cb.v_length}\n").encode("ascii")
-    buf = np.empty(len(header) + cb.n_rows * (cb.v_length + 1), np.uint8)
-    buf[:len(header)] = np.frombuffer(header, np.uint8)
-    body = buf[len(header):].reshape(cb.n_rows, cb.v_length + 1)
-    np.add(cb.matrix(), ord("0"), out=body[:, :-1])
-    body[:, -1] = ord("\n")
-    return buf
+def _write_document(cb: Codebook, out) -> None:
+    """Write the canonical document to the binary stream `out`: the header
+    line, then each row rendered into one reused buffer from the byte
+    plane of the column values that holds it, copied once per 8 rows."""
+    out.write(f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
+              f"R={cb.r_weight} V={cb.v_length}\n".encode("ascii"))
+    line = np.empty(cb.v_length + 1, np.uint8)
+    line[-1] = ord("\n")
+    chars = line[:-1]
+    for bit in range(cb.n_rows - 1, -1, -1):
+        if bit == cb.n_rows - 1 or bit % 8 == 7:
+            plane = _byte_plane(cb, bit)
+        np.right_shift(plane, bit % 8, out=chars)
+        np.bitwise_and(chars, 1, out=chars)
+        np.bitwise_or(chars, ord("0"), out=chars)
+        out.write(line)
 
 
 def parse_codebook(doc: str) -> Codebook:
@@ -207,43 +272,75 @@ def parse_codebook(doc: str) -> Codebook:
     return _parse_bytes(data)
 
 
-def _parse_bytes(data: bytes | np.ndarray) -> Codebook:
-    """The codebook of a document given as bytes or a uint8 array, whose
-    header line is valid and whose rows read as one byte image; any other
-    document raises the fault that `_raise_first_fault` finds first.
+def _parse_bytes(data) -> Codebook:
+    """The codebook of a document given whole, as bytes or a uint8 array."""
+    return _read_codebook(io.BytesIO(data))
 
-    The header's LF is found by one search of the buffer in place, which
-    stops at the first LF; a document with no LF goes straight to the
-    fault finder.
-    """
-    buf = np.frombuffer(data, np.uint8)
-    lf = _LF.search(buf)
-    if lf is None:
-        _raise_first_fault(buf)
+
+def _read_codebook(fh) -> Codebook:
+    """The codebook of the document read from the seekable binary stream
+    fh, positioned at its start. A document that `_read_rows` does not
+    accept raises the fault that `_raise_first_fault` finds first."""
+    cb = _read_rows(fh)
+    if cb is None:
+        fh.seek(0)
+        _raise_first_fault(np.frombuffer(fh.read(), np.uint8))
+    return cb
+
+
+def _read_rows(fh) -> Codebook | None:
+    """The codebook read from fh a row at a time, or None unless the
+    document is a valid header line and then ROWS lines of V '0'/'1'
+    characters, each ending in LF; a matrix that breaks the invariants
+    raises InvariantError."""
+    head = fh.readline()
+    if not head.endswith(b"\n"):
+        return None
     try:
-        n, n_rows, r, v = _header_fields(bytes(buf[:lf.start()]).decode("ascii"))
+        n, n_rows, r, v = _header_fields(head[:-1].decode("ascii"))
     except ValueError:
-        bits = None
-    else:
-        bits = _image_bits(buf[lf.end():], n_rows, v)
-    if bits is None:
-        _raise_first_fault(buf)
-    _validate_matrix(bits, n_rows, r, v)
-    return Codebook(n, bits)
+        return None
+    vals = _fold(_read_lines(fh, v), n_rows, v)
+    if vals is None or fh.read(1):
+        return None
+    _check_values(vals, r)
+    return Codebook._of_values(n, n_rows, vals)
 
 
-def _image_bits(body: np.ndarray, n_rows: int, v: int) -> np.ndarray | None:
-    """The (n_rows, v) matrix read off `body`, the bytes after the header
-    line, or None unless they are n_rows lines of v '0'/'1' characters,
-    each ending in LF."""
-    if len(body) != n_rows * (v + 1):
-        return None
-    body = body.reshape(n_rows, v + 1)
-    if (body[:, -1] != ord("\n")).any():
-        return None
-    # characters below '0' wrap round to large values
-    bits = body[:, :-1] - np.uint8(ord("0"))
-    return bits if bits.max() <= 1 else None
+def _read_lines(fh, v: int):
+    """Yield the 0/1 bits of each line of fh, read into one reused
+    buffer, while it is v '0'/'1' characters and LF."""
+    line = np.empty(v + 1, np.uint8)
+    bits = line[:-1]
+    while fh.readinto(line) == v + 1 and line[-1] == ord("\n"):
+        # characters below '0' wrap round to large values
+        np.subtract(bits, ord("0"), out=bits)
+        if bits.max() > 1:
+            return
+        yield bits
+
+
+def _fold(rows, n_rows: int, v: int) -> np.ndarray | None:
+    """Column values of the first n_rows length-v 0/1 rows drawn from the
+    iterator `rows`, row 1 as the MSB, or None if it runs out first.
+
+    Rows are assembled 8 at a time in a uint8 buffer (doubled by addition,
+    which numpy runs far faster than a uint8 shift) and only then shifted
+    into the wide values."""
+    vals = np.zeros(v, _column_dtype(n_rows))
+    byte = np.empty(v, np.uint8)
+    for first in range(0, n_rows, 8):
+        group = min(8, n_rows - first)
+        byte[:] = 0
+        for _ in range(group):
+            row = next(rows, None)
+            if row is None:
+                return None
+            np.add(byte, byte, out=byte)
+            np.bitwise_or(byte, row, out=byte)
+        np.left_shift(vals, group, out=vals)
+        np.bitwise_or(vals, byte, out=vals)
+    return vals
 
 
 def _header_fields(head: str) -> tuple[int, int, int, int]:
@@ -274,7 +371,7 @@ def _header_fields(head: str) -> tuple[int, int, int, int]:
 
 
 def _raise_first_fault(buf: np.ndarray) -> NoReturn:
-    """Raise the first fault of a document `_parse_bytes` refused, in the
+    """Raise the first fault of a document `_read_rows` refused, in the
     order a line-by-line read meets them: a non-ASCII byte (as the error
     of `bytes.decode`), a missing final LF, the header's faults, the row
     line count, then each row's length before its characters. The bytes
@@ -304,26 +401,14 @@ def _raise_first_fault(buf: np.ndarray) -> NoReturn:
                 f"invalid bit character {chr(row[bad.argmax()])!r}")
 
 
-def _validate_matrix(bits: np.ndarray, n_rows: int, r: int, v: int) -> None:
-    """Raise InvariantError unless the v columns are distinct and of weight r.
+def _check_values(vals: np.ndarray, r: int) -> None:
+    """Raise InvariantError unless the column values are distinct and of
+    weight r.
 
-    Callers pass v = C(n_rows, r), so distinct weight-r columns are every
-    weight-r pattern: any two rows differ (some pattern holds one and not
-    the other) and each row holds C(n_rows - 1, r - 1) ones.
+    Callers hold V = C(n_rows, r) values, so distinct weight-r columns are
+    every weight-r pattern: any two rows differ (some pattern holds one
+    and not the other) and each row holds C(n_rows - 1, r - 1) ones.
     """
-    # column values with row 1 as the MSB, assembled 8 rows at a time in a
-    # uint8 buffer (doubled by addition, which numpy runs far faster than
-    # a uint8 shift) and only then shifted into the wide values
-    vals = np.zeros(v, _column_dtype(n_rows))
-    byte = np.empty(v, np.uint8)
-    for first in range(0, n_rows, 8):
-        group = bits[first:first + 8]
-        np.copyto(byte, group[0])
-        for row in group[1:]:
-            np.add(byte, byte, out=byte)
-            np.bitwise_or(byte, row, out=byte)
-        np.left_shift(vals, len(group), out=vals)
-        np.bitwise_or(vals, byte, out=vals)
     col_weights = np.bitwise_count(vals)
     bad = np.flatnonzero(col_weights != r)
     if bad.size:

@@ -219,11 +219,8 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
         threshold = (size // 2 + 1).astype(np.int8)[:, None]
         rows_sel = table[sel]
         block = np.empty_like(rows_sel)
-        for drop in itertools.combinations(hi_members, a_hi):
-            for add in itertools.combinations(hi_others, b_hi):
-                cur = base.copy()
-                for i in drop + add:
-                    cur += flip[i]
+        for drop, dropped in _running_sums(base, flip, hi_members, a_hi):
+            for add, cur in _running_sums(dropped, flip, hi_others, b_hi):
                 np.add(rows_sel, cur, out=block)
                 hits = np.bitwise_count(np.packbits(
                     block >= threshold, axis=1).view(np.uint64)).sum(
@@ -241,3 +238,21 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
                         ^ {i for i in range(n_lo) if lo_mask >> i & 1})
                 ties += at.size
     return best, best_set, ties
+
+
+def _running_sums(start: np.ndarray, rows: np.ndarray, pool: list[int],
+                  size: int):
+    """Yield (combo, start plus the rows in combo) for each size-combination
+    of pool, in itertools order. Each sum extends the sum of the prefix it
+    shares with the previous combination, so most cost one row; a yielded
+    sum is valid until the next is drawn."""
+    sums = [start] + [np.empty_like(start) for _ in range(size)]
+    prev = ()
+    for combo in itertools.combinations(pool, size):
+        shared = 0
+        while shared < len(prev) and combo[shared] == prev[shared]:
+            shared += 1
+        for j in range(shared, size):
+            np.add(sums[j], rows[combo[j]], out=sums[j + 1])
+        prev = combo
+        yield combo, sums[size]

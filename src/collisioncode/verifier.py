@@ -238,10 +238,13 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     float32 matmuls are exact here: no value exceeds V <= C(25, 13) <
     2^24. Trials are drawn and checked _DRAW_TRIALS at a time, which reads
     the same stream as one draw, so memory does not grow with `trials`.
-    A run of more than _CLAIMS_BUDGET_CHIPS (trials times V) is refused.
+    A run of more than _CLAIMS_BUDGET_CHIPS (trials times V) is refused,
+    and so is a negative seed, both before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     m, v = cb.n_rows, cb.v_length
     if trials * v > _CLAIMS_BUDGET_CHIPS:
         raise SizeLimitError(f"{trials} trials of {v} chips exceed the claims "

@@ -161,18 +161,24 @@ class TestSuperpose:
                                        for c in range(len(cols))]
         assert (sums == 1).all()
 
-    @pytest.mark.parametrize("n_stations", [255, 256, 300])
-    def test_more_stations_than_a_byte_holds(self, n_stations):
-        """Codebook accepts any 0/1 matrix, so the ones count of a column
-        may exceed 255."""
-        rng = np.random.default_rng(n_stations)
-        bits = rng.integers(0, 2, (n_stations, 40), dtype=np.uint8)
+    @pytest.mark.parametrize("n_rows", [26, 300])
+    def test_more_rows_than_the_cap_are_refused(self, n_rows):
+        bits = np.random.default_rng(n_rows).integers(0, 2, (n_rows, 40),
+                                                      dtype=np.uint8)
+        with pytest.raises(cc.SizeLimitError):
+            cc.Codebook(n_rows, bits)
+
+    def test_random_matrix_at_the_cap(self):
+        """Codebook accepts any 0/1 matrix of up to 25 rows; superpose of
+        all its rows is the exact signed sum, as int16."""
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2, (25, 40), dtype=np.uint8)
         bits[:, 0] = 1
         bits[:, 1] = 0
-        sums = cc.superpose(cc.Codebook(n_stations, bits), range(1, n_stations + 1))
+        sums = cc.superpose(cc.Codebook(25, bits), range(1, 26))
         assert sums.dtype == np.int16
         assert sums.tolist() == (2 * bits.astype(np.int64) - 1).sum(axis=0).tolist()
-        assert sums[0] == n_stations and sums[1] == -n_stations
+        assert sums[0] == 25 and sums[1] == -25
 
 
 class TestDemodulate:

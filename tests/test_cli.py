@@ -15,6 +15,7 @@ from collisioncode import cli, codebook, verifier
 from collisioncode.cli import main
 from conftest import cached_codebook
 from test_decoder import smallest_unreachable
+import oracles
 
 CB3_DOC = "COLLISIONCODE v1 N=3 ROWS=3 R=2 V=3\n110\n101\n011\n"
 
@@ -56,9 +57,32 @@ class TestGen:
         assert path.read_bytes() == cc.serialize_codebook(
             cc.build_codebook(n)).encode()
 
-    # sha256 of the document beyond the oracle's sizes
+    # sha256 of `gen --n N` for every N, pinned from the writer that
+    # rendered the whole unpacked matrix
     DIGESTS = [
+        (1, "0b50ce80d137bc73dd4d8983ae7f808421e05a276c3af1b75be87730e5c7ce29"),
+        (2, "d6f97efb7fb9c68016d0bd82f468f71698f3b332042a4330bdf111d8421b5a07"),
+        (3, "f22f4bcb310fe23e122d897fa91c4484a3cdb8645217aea1fb3dac82200342b7"),
+        (4, "b78a9ce24591e9d9cb89d7f284a3ac6aefead6fb60d96dbf8f7ede575c67ee86"),
+        (5, "9e71b4e5ae0a087b4e2bb53bee0e0249b2944f9fae4c8c1fc03141284f048301"),
+        (6, "76d09713bc02293318b41ca07e329b2a236f56ac5c35c05eb368957547946316"),
+        (7, "08ce13ff5d41121491500e15538ad3866d3919c9bc37a149ef7076b23418a028"),
+        (8, "a10f71dc70e7bd88ba16ed21e7786986f6e8b39ebeddb5da2ade04cf47a06101"),
+        (9, "d1230250146c6b81da7b1e461a47a85f04ad17b72a6b336128726d1ceb68d509"),
+        (10, "d5d5a410e4a6504a296a50451dfd45bb56a49d1d0eb5b3fe86af9cf582bd11c0"),
+        (11, "d5b2a40d51de2ccfa4d18a9bf83aef33efad892eed470d378c24e7032a93579c"),
+        (12, "463c5af03907b080fb862b0df37885bc876e29e00c9a7ecec927227c9662391b"),
+        (13, "4d586502c57d65bd47a04b756d3394f2e916e8e0613b6911c547694e224c2059"),
+        (14, "5e85bd983a6ec1ed8a9748fe1fbfb563b2abd2001a2cae2566ef9b44fcd57a25"),
+        (15, "ce2b3dfa03c79f23cd81f55b000bfe5e6bbcc016efa00954bad2e6181fa4ef2d"),
+        (16, "b97f8712081e4bce5c2b4d9f6a49e5e9c2dd2963b58b6b51433e000aa1075803"),
+        (17, "071fe458cf439cd841c30af180bec9c9166c7065ed34bf449c8ada20879bffce"),
+        (18, "d63b646b6ea2d25e2b89b744a8894279c4437bebad11c79ae30add403aa4b7e6"),
+        (19, "c3a05558dbdf3d27cf985aa6cf5a380eb3067a2ac1521043af5a273237517f23"),
+        (20, "11c325de194e1c8b00ad06e98a83a4d4996c8c880804a7a0644cf2e996baf3e5"),
         (21, "2be7fb698e4e072f9847f7d083b0609a3fe786ec0fc937902fed9c287715f4f1"),
+        (22, "5a70ba4fc9104c11e7e0fdb53a76e2658ebab2cb019c1eb6ea42a98d801e8118"),
+        (23, "9b96ee0812c158df964e0d7e1a1c4c2a8354de84c1dddd3c7938f77b9addf6ec"),
         (24, "c7ab5042e34a2afeb690ff11a0feaf1260ab90b90304dd6b545155c0a82b4f2a"),
         (25, "aa45acbc9e1a7a7a17f16329a28655882f88eab690f77430c711bf94ab73c36d"),
     ]
@@ -70,7 +94,7 @@ class TestGen:
         assert run(capsys, ["gen", "--n", str(n), "--out", str(path)])[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", [*range(1, 10), 25])
     def test_stdout_is_the_out_file(self, capsysbinary, tmp_path, n):
         path = tmp_path / "cb.txt"
         assert main(["gen", "--n", str(n), "--out", str(path)]) == 0
@@ -185,6 +209,22 @@ class TestBytesLoader:
         assert kinds == {"ok", UnicodeDecodeError, cc.FormatError,
                          cc.InvariantError}
 
+    @staticmethod
+    def oracle_outcome(data):
+        """outcome() of the line-by-line oracle's parse of data."""
+        def parse(d):
+            n, rows = oracles.parse_document(d.decode("ascii"))
+            bits = np.array([[int(c) for c in row] for row in rows], np.uint8)
+            return types.SimpleNamespace(n_stations=n, matrix=lambda: bits)
+        return TestBytesLoader.outcome(parse, data)
+
+    def test_file_parse_matches_oracle(self, tmp_path):
+        path = tmp_path / "cb.txt"
+        for data in self.corpus():
+            path.write_bytes(data)
+            assert (self.outcome(cli._load_codebook, str(path))
+                    == self.oracle_outcome(data)), data
+
     def test_stdin_parse_matches_text_parse(self, monkeypatch):
         for data in self.corpus():
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
@@ -295,9 +335,56 @@ class TestLoaderSources:
         path.write_bytes(data)
         expected = TestBytesLoader.outcome(codebook._parse_bytes, data)
         size = len(data) + shift
-        monkeypatch.setattr(cli, "os", types.SimpleNamespace(
-            fstat=lambda fd: types.SimpleNamespace(st_size=size)))
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=size))
         assert TestBytesLoader.outcome(cli._load_codebook, str(path)) == expected
+
+
+class TestRowStreaming:
+    """A file is read a row at a time: documents whose column values span
+    several 8-row groups load, or fail, as the line-by-line oracle reads
+    them, from a file or through a FIFO."""
+
+    @staticmethod
+    def documents(n):
+        doc = cc.serialize_codebook(cached_codebook(n)).encode()
+        v = cached_codebook(n).v_length
+        last = len(doc) - v - 1  # first byte of the last row
+        row9 = doc.index(b"\n") + 1 + 8 * (v + 1)
+        return {
+            "canonical": doc,
+            "bad byte in the last row": doc[:-2] + b"x\n",
+            "high byte in the last row": doc[:last + 3] + b"\xff" + doc[last + 4:],
+            "bad byte in row 9": doc[:row9] + b"2" + doc[row9 + 1:],
+            "last row one byte short": doc[:-2] + b"\n",
+            "row 9 one byte short": doc[:row9] + doc[row9 + 1:],
+            "extra byte after the last LF": doc + b"0",
+            "extra row": doc + doc[last:],
+        }
+
+    @staticmethod
+    def expected(n, kind, data):
+        if kind == "canonical":  # the oracle's column check is quadratic
+            cb = cached_codebook(n)
+            return cb.n_stations, cb.matrix().shape, cb.matrix().tobytes()
+        return TestBytesLoader.oracle_outcome(data)
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_file_matches_oracle(self, tmp_path, n):
+        path = tmp_path / "cb.txt"
+        for kind, data in self.documents(n).items():
+            path.write_bytes(data)
+            got = TestBytesLoader.outcome(cli._load_codebook, str(path))
+            assert got == self.expected(n, kind, data), kind
+            assert (kind == "canonical") == (got[0] == n), kind
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_fifo_matches_oracle(self, tmp_path, n):
+        for kind, data in self.documents(n).items():
+            assert TestLoaderSources.through_fifo(
+                tmp_path, data, lambda p: TestBytesLoader.outcome(
+                    cli._load_codebook, p)) == self.expected(n, kind, data), kind
 
 
 class TestSuperpose:

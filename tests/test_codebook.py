@@ -120,6 +120,39 @@ class TestConstruction:
         assert (m.sum(axis=1) == math.comb(cb.n_rows - 1, cb.r_weight - 1)).all()
 
 
+class TestDerivedArrays:
+    """`packed` and `matrix()` are derived from the column values."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_match_the_oracle_matrix(self, n):
+        cb = cc.build_codebook(n)
+        rows = oracles.matrix_rows(cb.n_rows)
+        oracle = np.array([[int(c) for c in row] for row in rows], np.uint8)
+        assert cb.matrix().dtype == np.uint8
+        assert np.array_equal(cb.matrix(), oracle)
+        assert np.array_equal(cb.packed, np.packbits(oracle, axis=1))
+        assert not (cb.matrix().flags.writeable or cb.packed.flags.writeable
+                    or cb.vals.flags.writeable)
+
+    def test_blocks_cover_every_column(self, monkeypatch):
+        # derived a few columns at a time, including a short last block
+        oracle = np.array([[int(c) for c in row]
+                           for row in oracles.matrix_rows(9)], np.uint8)
+        monkeypatch.setattr(codebook, "_BLOCK_COLUMNS", 16)
+        cb = cc.build_codebook(9)
+        assert cb.v_length % 16
+        assert np.array_equal(cb.matrix(), oracle)
+        assert np.array_equal(cb.packed, np.packbits(oracle, axis=1))
+
+    def test_constructor_folds_any_matrix(self):
+        bits = np.random.default_rng(3).integers(0, 2, (17, 50), np.uint8)
+        cb = cc.Codebook(17, bits)
+        assert np.array_equal(cb.matrix(), bits)
+        assert np.array_equal(cb.packed, np.packbits(bits, axis=1))
+        assert [cc.bits_to_str(cc.codeword_for(cb, i)) for i in (1, 9, 17)] == [
+            cc.bits_to_str(bits[i - 1]) for i in (1, 9, 17)]
+
+
 class TestCodewordAccess:
     def test_known_codewords(self):
         cb = cached_codebook(3)

@@ -361,6 +361,18 @@ class TestNearestAgainstScan:
                 assert cc.decode_nearest(cb, received, max_dist) == \
                     scan_nearest(cb, received, max_dist), (value, max_dist)
 
+    @pytest.mark.parametrize("lo_bits", [1, 3])
+    def test_flip_sets_of_several_high_rows(self, lo_bits, monkeypatch):
+        # a small low block leaves most stations to the high block, whose
+        # flip sets are running sums over combinations of several rows
+        monkeypatch.setattr(decoder, "_LO_BITS", lo_bits)
+        cb = cached_codebook(9)
+        rng = np.random.default_rng(900 + lo_bits)
+        for _ in range(20):
+            received = rng.integers(0, 2, cb.v_length).astype(np.uint8)
+            assert cc.decode_nearest(cb, received, cb.v_length) == \
+                scan_nearest(cb, received, cb.v_length)
+
     @pytest.mark.parametrize("n", range(6, 14))
     def test_seeded_sweep(self, n, monkeypatch):
         searches = []

@@ -69,6 +69,14 @@ class TestAdditivity:
         with pytest.raises(ValueError):
             cc.check_additivity(cached_codebook(3), 0, 1)
 
+    def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a generator was made")
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        with pytest.raises(ValueError,
+                           match="^seed must be a non-negative integer$"):
+            cc.check_additivity(cached_codebook(3), 10, -1)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_draws_match_oracle(self, n, monkeypatch):
         """Trials drawn in blocks read the stream of the oracle's one draw."""
