@@ -4,16 +4,21 @@ Subsets are given as masks, bit i for row i+1. The chip sums of a block
 of subsets at a block of columns are one float32 matmul of the subsets'
 0/1 membership rows (`_membership`) and the +1/-1 amplitudes of those
 columns (`_signed`), exact since |sum| <= 25; demod(S) is the positive
-sums. `_chip_sums` runs that matmul a block of subsets at a time, within
+sums. `_signed` forms the amplitudes from the codebook's column values
+at the block's columns, so the kernel never derives the unpacked matrix.
+`_chip_sums` runs that matmul a block of subsets at a time, within
 _KERNEL_BYTES, and the verifier's checks all read their sums from it.
 
 `count_blocks` and `demod_blocks` enumerate every subset of the first m
-rows through the same kernel. No library code calls them: tests use
-them as a reference scan, and perfbench's subset-throughput metrics time
-them. `mask_to_ids` lists a mask's row ids for the verifier's reports.
+rows of a 0/1 matrix through the same kernel. No library code calls
+them: tests use them as a reference scan, and perfbench's
+subset-throughput metrics time them. `mask_to_ids` lists a mask's row
+ids for the verifier's reports.
 """
 
 import numpy as np
+
+from .codebook import Codebook
 
 _KERNEL_BYTES = 1 << 20  # chip sums or a matrix block of one kernel step
 
@@ -36,15 +41,16 @@ def _membership(masks: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float32)
 
 
-def _signed(matrix: np.ndarray, cols) -> np.ndarray:
-    """The float32 +1/-1 amplitudes 2 * matrix[:, cols] - 1 of a column block."""
-    block = matrix[:, cols].astype(np.float32)
+def _signed(cb: Codebook, cols) -> np.ndarray:
+    """The float32 +1/-1 amplitudes of every row at a block of columns,
+    2 * matrix[:, cols] - 1, from the column values at cols."""
+    block = cb._rows_at(cols).astype(np.float32)
     block *= 2
     block -= 1
     return block
 
 
-def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
+def _chip_sums(cb: Codebook, cols, masks: np.ndarray):
     """Yield (sl, sums): the chip sums at `cols` of the subsets masks[sl],
     a slice at a time so that each float32 block of sums stays within
     _KERNEL_BYTES.
@@ -54,13 +60,13 @@ def _chip_sums(matrix: np.ndarray, cols, masks: np.ndarray):
     Every step writes into one buffer, so a block is only valid until the
     next one is drawn.
     """
-    signed = _signed(matrix, cols)
+    signed = _signed(cb, cols)
     step = max(1, _KERNEL_BYTES // (4 * signed.shape[1]))
     buf = np.empty((min(step, len(masks)), signed.shape[1]), np.float32)
     for lo in range(0, len(masks), step):
         sl = slice(lo, min(lo + step, len(masks)))
         sums = buf[:sl.stop - lo]
-        np.matmul(_membership(masks[sl], len(matrix)), signed, out=sums)
+        np.matmul(_membership(masks[sl], cb.n_rows), signed, out=sums)
         yield sl, sums
 
 
@@ -73,7 +79,7 @@ def count_blocks(matrix: np.ndarray, m: int):
     is included (callers usually skip it).
     """
     masks = np.arange(1 << m)
-    for sl, sums in _chip_sums(matrix[:m], slice(None), masks):
+    for sl, sums in _chip_sums(Codebook(m, matrix[:m]), slice(None), masks):
         sizes = np.bitwise_count(masks[sl]).astype(np.int8)
         counts = sums.astype(np.int8)  # 2 * ones - size, exact in int8
         counts += sizes[:, None]

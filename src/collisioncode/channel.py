@@ -34,15 +34,22 @@ def superpose(cb: Codebook, stations) -> np.ndarray:
     (`cb.vals`) under the stations' mask, counted in one pass for any
     subset, and the sums are 2 * ones - size.
     """
-    ids = sorted({int(i) for i in stations})
-    if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
-        raise ValueError(
-            f"station ids must lie in 1..{cb.n_stations}, got {ids}")
+    ids = _station_ids(cb, stations)
     mask = cb.vals.dtype.type(sum(1 << (cb.n_rows - i) for i in ids))
     ones = np.bitwise_count(cb.vals & mask)
     sums = np.multiply(ones, 2, dtype=np.int16)
     sums -= len(ids)
     return sums
+
+
+def _station_ids(cb: Codebook, stations) -> list[int]:
+    """The distinct ids of `stations`, ascending; ValueError unless every
+    one lies in 1..n_stations."""
+    ids = sorted({int(i) for i in stations})
+    if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
+        raise ValueError(
+            f"station ids must lie in 1..{cb.n_stations}, got {ids}")
+    return ids
 
 
 def demodulate(sums: np.ndarray) -> np.ndarray:

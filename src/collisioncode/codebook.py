@@ -10,10 +10,11 @@ construction deterministic.
 
 So one integer describes each column: its value, with row 1 as the most
 significant bit. A `Codebook` holds those column values (`vals`, one
-uint32 per column at most, 21 MB at the 25-station cap), and derives the
-row arrays from them on first use: the packed rows that the decoder
-correlates with and the unpacked matrix that the verifier and nearest
-decoding read.
+uint32 per column at most, 21 MB at the 25-station cap). The packed
+rows, which the decoder scans, are derived from them on first use. The
+verifier reads row blocks and the class search byte planes of the
+column values directly, so no library path derives the unpacked matrix
+(`matrix()`, 130 MB at the cap); it stays for callers that want it.
 
 Building splits the rows into a top and a bottom half. In descending
 order, the weight-R columns are: for each top-half pattern in descending
@@ -79,10 +80,10 @@ class Codebook:
     Held as `vals`, one integer per column: the column's pattern with row
     1 as the most significant of n_rows bits. The row arrays are derived
     from it on first use and cached: `packed`, the rows 8 chips per byte
-    for the decoder, and `matrix()`, the unpacked (n_rows, V) 0/1 matrix
-    for the verifier and nearest decoding. Every array is read-only. A
-    station's codeword is read with `codeword_for`, which keeps the
-    padding row of an even station count out of reach.
+    for the decoder, and `matrix()`, the unpacked (n_rows, V) 0/1 matrix,
+    which neither the decoder nor the verifier reads. Every array is
+    read-only. A station's codeword is read with `codeword_for`, which
+    keeps the padding row of an even station count out of reach.
 
     The constructor takes any (n_rows, V) 0/1 matrix of at most
     MAX_STATIONS rows and does not check it, so broken codes can be built.
@@ -110,13 +111,21 @@ class Codebook:
         vals.flags.writeable = False
         self.vals = vals
 
+    @cached_property
+    def _row_bits(self) -> np.ndarray:
+        """Column of each row's bit in the column values, row 1 first."""
+        return (1 << np.arange(self.n_rows - 1, -1, -1)).astype(
+            self.vals.dtype)[:, None]
+
+    def _rows_at(self, cols) -> np.ndarray:
+        """(n_rows, len(cols)) bool block of the rows at columns cols."""
+        return (self.vals[cols] & self._row_bits) != 0
+
     def _row_blocks(self):
         """Yield (first column, (n_rows, w) bool block of the rows) over
         the columns, _BLOCK_COLUMNS at a time."""
-        bit = (1 << np.arange(self.n_rows - 1, -1, -1)).astype(
-            self.vals.dtype)[:, None]
         for c0 in range(0, self.v_length, _BLOCK_COLUMNS):
-            yield c0, (self.vals[c0:c0 + _BLOCK_COLUMNS] & bit) != 0
+            yield c0, self._rows_at(slice(c0, c0 + _BLOCK_COLUMNS))
 
     @cached_property
     def packed(self) -> np.ndarray:
@@ -196,11 +205,12 @@ def _column_dtype(n_rows: int) -> np.dtype:
     return np.min_scalar_type((1 << n_rows) - 1)
 
 
-def _byte_plane(cb: Codebook, bit: int) -> np.ndarray:
-    """Contiguous uint8 copy of the byte of each column value that holds
-    bit `bit` (bit n_rows - 1 is row 1)."""
+def _byte_plane(cb: Codebook, bit: int, cols=slice(None)) -> np.ndarray:
+    """Contiguous uint8 copy of the byte that holds bit `bit` (bit
+    n_rows - 1 is row 1) of each column value at `cols`."""
     little = cb.vals.astype(cb.vals.dtype.newbyteorder("<"), copy=False)
-    return np.ascontiguousarray(little.view(np.uint8)[bit // 8::cb.vals.itemsize])
+    plane = little.view(np.uint8)[bit // 8::cb.vals.itemsize]
+    return np.ascontiguousarray(plane[cols])
 
 
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:

@@ -22,7 +22,11 @@ superposition, O(n * V), with no per-codebook state.
 
 Nearest-match decoding ranks the stations by the same correlation (ties
 by station id) and measures the distance from y to the top-k set for
-every k = 1..n, adding one row per k: O(n * V) in all. The best of these,
+every k = 1..n in one pass over blocks of the packed rows: each block is
+unpacked in correlation order, turned into prefix counts by adding each
+row to the next, and compared with every k's majority threshold at once,
+and the packed results are XOR'd with the packed y: O(n * V) in all, with
+no unpacked matrix. The best of these (the smallest k on a tie),
 S* at distance d*, is the candidate. By the same symmetry the distance
 between demod(S) and demod(T) depends only on the overlap class
 (|S - T|, |T - S|, |S & T|), so every non-empty T other than S* lies at
@@ -47,7 +51,8 @@ import numpy as np
 
 from . import _classes
 from .channel import demodulate, superpose
-from .codebook import Codebook, SizeLimitError
+from .codebook import (_BLOCK_COLUMNS, MAX_STATIONS, Codebook,
+                       SizeLimitError, _byte_plane)
 
 # the chips of the largest search the old 2^n scan ran: every subset at 17
 # stations, so no input at n <= 17 is refused
@@ -55,6 +60,8 @@ NEAREST_BUDGET_CHIPS = ((1 << 17) - 1) * math.comb(17, 9)
 # stations in the class search's low block, and the most bytes its table holds
 _LO_BITS = 8
 _LO_TABLE_BYTES = 1 << 26
+# the majority threshold k // 2 + 1 of the top-k set, in row k - 1
+_MAJORITY = (np.arange(1, MAX_STATIONS + 1) // 2 + 1).astype(np.uint8)[:, None]
 
 IDENTIFIED = "identified"
 SILENCE = "silence"
@@ -84,10 +91,10 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _correlation(cb: Codebook, bits: np.ndarray) -> np.ndarray:
-    """Ones shared by bits and each station's codeword."""
+def _correlation(cb: Codebook, packed_bits: np.ndarray) -> np.ndarray:
+    """Ones shared by the packed bits and each station's codeword."""
     # the padding row of an even-n codebook belongs to no station
-    return np.bitwise_count(cb.packed[:cb.n_stations] & np.packbits(bits)).sum(
+    return np.bitwise_count(cb.packed[:cb.n_stations] & packed_bits).sum(
         axis=1, dtype=np.int64)
 
 
@@ -96,7 +103,7 @@ def decode_exact(cb: Codebook, received) -> DecodeOutcome:
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
-    corr = _correlation(cb, bits)
+    corr = _correlation(cb, np.packbits(bits))
     stations = frozenset((np.flatnonzero(corr == corr.max()) + 1).tolist())
     if not np.array_equal(demodulate(superpose(cb, stations)), bits):
         return DecodeOutcome(NOMATCH)
@@ -120,24 +127,56 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
-    n, m, y = cb.n_stations, cb.matrix(), bits.view(bool)
-    order = np.argsort(-_correlation(cb, bits), kind="stable")
-    counts = np.zeros(cb.v_length, np.uint8)
-    demod = np.empty(cb.v_length, bool)
-    best, best_k = cb.v_length + 1, 0
-    for k, i in enumerate(order.tolist(), start=1):
-        counts += m[i]
-        np.greater_equal(counts, k // 2 + 1, out=demod)
-        dist = int(np.count_nonzero(np.not_equal(demod, y, out=demod)))
-        if dist < best:
-            best, best_k = dist, k
+    packed_bits = np.packbits(bits)
+    order = np.argsort(-_correlation(cb, packed_bits), kind="stable")
+    dist = _top_k_distances(cb, order, packed_bits)
+    best_k = int(dist.argmin()) + 1  # the first minimum: ties to smaller k
+    best = int(dist[best_k - 1])
     members = sorted(order[:best_k].tolist())
     ties = 1
-    if 2 * best >= _classes.radius(n, best_k):
+    if 2 * best >= _classes.radius(cb.n_stations, best_k):
         best, members, ties = _nearest_by_class(cb, bits, members, best)
     if best > max_dist or ties > 1:
         return DecodeOutcome(NOMATCH, None, best)
     return DecodeOutcome(IDENTIFIED, frozenset(i + 1 for i in members), best)
+
+
+def _top_k_distances(cb: Codebook, order: np.ndarray,
+                     packed_bits: np.ndarray) -> np.ndarray:
+    """int64 distances from the packed bits to demod of the stations
+    order[:k], in entry k - 1, for every k = 1..len(order).
+
+    Each block of _BLOCK_COLUMNS columns is unpacked in the given order
+    and summed down the rows in place, so row k - 1 holds the chip counts
+    of the top-k set; all k are thresholded at once, packed and compared
+    with the bits. The padding bits of the last byte are 0 in the rows
+    and the bits alike, so they count nowhere."""
+    majority = _MAJORITY[:len(order)]
+    dist = np.zeros(len(order), np.int64)
+    step = _BLOCK_COLUMNS // 8
+    for b0 in range(0, cb.packed.shape[1], step):
+        counts = np.unpackbits(cb.packed[order, b0:b0 + step], axis=1)
+        for prev, row in zip(counts, counts[1:]):
+            np.add(row, prev, out=row)
+        demod = np.packbits(counts >= majority, axis=1)
+        dist += np.bitwise_count(demod ^ packed_bits[b0:b0 + step]).sum(
+            axis=1, dtype=np.int64)
+    return dist
+
+
+def _flip_rows(cb: Codebook, cols: np.ndarray, width: int) -> np.ndarray:
+    """int8 (n_stations, width) rows of the stations' chips at cols, then
+    zero columns; read from the byte planes of the column values, each
+    gathered once at cols for the 8 rows it holds."""
+    flip = np.zeros((cb.n_stations, width), np.int8)
+    chips = flip[:, :cols.size].view(np.uint8)
+    for i in range(cb.n_stations):
+        bit = cb.n_rows - 1 - i
+        if i == 0 or bit % 8 == 7:
+            plane = _byte_plane(cb, bit, cols)
+        np.right_shift(plane, bit % 8, out=chips[i])
+        np.bitwise_and(chips[i], 1, out=chips[i])
+    return flip
 
 
 def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
@@ -180,11 +219,7 @@ def _nearest_by_class(cb: Codebook, bits: np.ndarray, members: list[int],
     width = -(-cols.size // 64) * 64
     is_member = np.zeros(n, bool)
     is_member[members] = True
-    # one gather of every station row onto the side's columns; the padding
-    # gathers column 0 and is then zeroed
-    flip = np.take(cb.matrix()[:n], np.pad(cols, (0, width - cols.size)),
-                   axis=1).view(np.int8)
-    flip[:, cols.size:] = 0
+    flip = _flip_rows(cb, cols, width)
     base = flip.sum(axis=0, dtype=np.int8, where=is_member[:, None])
     np.negative(flip, out=flip, where=is_member[:, None])
     weight = np.array([_classes.demod_weight(rows, s) for s in range(n + 1)])

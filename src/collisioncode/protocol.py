@@ -99,13 +99,14 @@ def run_round(cb: Codebook, intended, cfg: SessionConfig, round_seed: int,
     probability 1 - loss_prob (stations are drawn in ascending id order,
     so the round is reproducible from round_seed alone). newly_confirmed
     is the decoded set restricted to the intended one; on the ideal
-    channel that is exactly the set that ACKed.
+    channel that is exactly the set that ACKed. Every intended id must
+    lie in 1..n_stations of the codebook, whatever the losses would keep.
     """
-    targets = frozenset(int(i) for i in intended)
-    if not targets:
+    order = channel._station_ids(cb, intended)
+    if not order:
         raise ValueError("intended must be non-empty")
+    targets = frozenset(order)
     rng = np.random.default_rng(round_seed)
-    order = sorted(targets)
     draws = rng.random(len(order))
     received = frozenset(s for s, u in zip(order, draws) if u >= cfg.loss_prob)
     noise_seed = int(rng.integers(0, 2 ** 63))

@@ -125,24 +125,24 @@ def _column_tiles(v: int) -> list[np.ndarray]:
     return [np.arange(t, v, n_tiles) for t in range(n_tiles)]
 
 
-def _unsettled(matrix: np.ndarray, live: np.ndarray, settles) -> np.ndarray:
-    """The subset masks of `live` that no column of `matrix` settles.
+def _unsettled(cb: Codebook, live: np.ndarray, settles) -> np.ndarray:
+    """The subset masks of `live` that no column of the codebook settles.
 
     settles(sums, masks) marks the subsets whose chip sums on one tile
     settle them. Tiles are visited in order and each counts only the
     subsets that every earlier tile left unsettled.
     """
-    for cols in _column_tiles(matrix.shape[1]):
+    for cols in _column_tiles(cb.v_length):
         if not live.size:
             break
         keep = np.empty(len(live), bool)
-        for sl, sums in _chip_sums(matrix, cols, live):
+        for sl, sums in _chip_sums(cb, cols, live):
             keep[sl] = ~settles(sums, live[sl])
         live = live[keep]
     return live
 
 
-def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
+def _colliding_groups(cb: Codebook) -> list[list[int]]:
     """Every group of two or more non-empty row subsets with one
     demodulated vector, each as ascending subset masks.
 
@@ -153,13 +153,13 @@ def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
     dropped. Subsets still grouped after the last tile agree on every
     column.
     """
-    live = np.arange(1, 1 << len(matrix))
+    live = np.arange(1, 1 << cb.n_rows)
     group = np.zeros(len(live), np.int64)  # non-decreasing along live
-    for cols in _column_tiles(matrix.shape[1]):
+    for cols in _column_tiles(cb.v_length):
         if not live.size:
             break
         words = np.zeros((len(live), 8), np.uint8)
-        for sl, sums in _chip_sums(matrix, cols, live):
+        for sl, sums in _chip_sums(cb, cols, live):
             words[sl, :-(-len(cols) // 8)] = np.packbits(sums > 0, axis=1)
         words = words.view(np.uint64).ravel()
         lead = np.empty(len(live), bool)  # first subset of its group
@@ -178,19 +178,19 @@ def _colliding_groups(matrix: np.ndarray) -> list[list[int]]:
     return [live[a:b] for a, b in zip(bounds, bounds[1:]) if b - a > 1]
 
 
-def _demodulated(matrix: np.ndarray, masks: np.ndarray) -> list[str]:
+def _demodulated(cb: Codebook, masks: np.ndarray) -> list[str]:
     """The demodulated vector of each subset in `masks`, as a string.
 
     Columns are taken in blocks narrow enough that a block of chip sums
     holds 64 subsets; each block's bits are written into one '0'/'1'
     character row per subset.
     """
-    v = matrix.shape[1]
+    v = cb.v_length
     width = max(1, _subsets._KERNEL_BYTES >> 8)
     chars = np.empty((len(masks), v), np.uint8)
     for c0 in range(0, v, width):
         cols = slice(c0, c0 + width)
-        for sl, sums in _chip_sums(matrix, cols, masks):
+        for sl, sums in _chip_sums(cb, cols, masks):
             np.greater(sums, 0, out=chars[sl, cols])
     chars += ord("0")
     return [row.tobytes().decode("ascii") for row in chars]
@@ -217,7 +217,7 @@ def sweep_witnesses(cb: Codebook) -> WitnessSweepReport:
     m = cb.n_rows
     _check_budget(m, "witness sweep")
     t0 = time.perf_counter()
-    unsettled = _unsettled(cb.matrix(), np.arange(1, (1 << m) - 1), settles)
+    unsettled = _unsettled(cb, np.arange(1, (1 << m) - 1), settles)
     failures = sorted(mask_to_ids(mask) for mask in unsettled.tolist())
     return WitnessSweepReport(m, max(2 ** m - 2, 0), failures,
                               time.perf_counter() - t0)
@@ -256,7 +256,7 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
         corr = np.zeros((len(masks), m), np.float32)
         width = max(1, _subsets._KERNEL_BYTES // 4 // max(len(masks), m))
         for c0 in range(0, v, width):
-            signed = _signed(cb.matrix(), slice(c0, c0 + width))
+            signed = _signed(cb, slice(c0, c0 + width))
             demod = member @ signed
             np.greater(demod, 0, out=demod)  # demod(S), as 0.0 / 1.0
             corr += demod @ signed.T
@@ -284,9 +284,9 @@ def verify_uniqueness(cb: Codebook, workers: int = 1) -> UniquenessReport:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
-    groups = _colliding_groups(cb.matrix())
+    groups = _colliding_groups(cb)
     leaders = np.array([masks[0] for masks in groups])
-    vectors = _demodulated(cb.matrix(), leaders) if groups else []
+    vectors = _demodulated(cb, leaders) if groups else []
     collisions = sorted((mask_to_ids(a), mask_to_ids(b), vec)
                         for masks, vec in zip(groups, vectors)
                         for a, b in itertools.combinations(masks, 2))
@@ -304,5 +304,5 @@ def verify_no_zero_vector(cb: Codebook) -> bool:
     """
     m = cb.n_rows
     _check_budget(m, "uniqueness")
-    return not _unsettled(cb.matrix(), np.arange(1, 1 << m),
+    return not _unsettled(cb, np.arange(1, 1 << m),
                           lambda sums, _: (sums > 0).any(axis=1)).size

@@ -433,3 +433,55 @@ class TestNearestAgainstScan:
             received = noisy_vector(cb, subset, 0.3, seed)
             assert cc.decode_nearest(cb, received, 200) == scan_nearest(
                 cb, received, 200)
+
+
+class TestTopKScan:
+    """The one blocked pass that measures every top-k set, against the
+    per-k reference built from the matrix rows."""
+
+    @staticmethod
+    def check(cb, received, order):
+        got = decoder._top_k_distances(cb, order, np.packbits(received))
+        assert got.dtype == np.int64
+        assert got.tolist() == oracles.top_k_distances(
+            cb.matrix(), order.tolist(), received)
+
+    @pytest.mark.parametrize("n,blocks", [(19, 2), (21, 6)])
+    def test_several_blocks(self, n, blocks):
+        cb = cached_codebook(n)
+        assert -(-cb.v_length // decoder._BLOCK_COLUMNS) == blocks
+        rng = np.random.default_rng(1900 + n)
+        for seed in range(4):
+            subset = (rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+                      + 1).tolist()
+            received = noisy_vector(cb, subset, 0.6, seed)
+            corr = decoder._correlation(cb, np.packbits(received))
+            self.check(cb, received, np.argsort(-corr, kind="stable"))
+            self.check(cb, received, rng.permutation(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 13])
+    def test_narrow_blocks(self, n, monkeypatch):
+        """64-column blocks: many blocks, and a last one a byte or two
+        wide with padding bits."""
+        monkeypatch.setattr(decoder, "_BLOCK_COLUMNS", 64)
+        cb = cached_codebook(n)
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            received = rng.integers(0, 2, cb.v_length).astype(np.uint8)
+            self.check(cb, received, rng.permutation(n))
+
+
+class TestFlipRows:
+    @pytest.mark.parametrize("n", [9, 17, 20, 21])
+    def test_rows_are_the_matrix_columns(self, n):
+        """At 17 rows and more the stations span three byte planes of the
+        column values; at n=20 the padding row is left out."""
+        cb = cached_codebook(n)
+        rng = np.random.default_rng(n)
+        for ones in (1, 64, cb.v_length // 3):
+            cols = np.sort(rng.choice(cb.v_length, ones, replace=False))
+            width = -(-cols.size // 64) * 64
+            flip = decoder._flip_rows(cb, cols, width)
+            assert flip.dtype == np.int8 and flip.shape == (n, width)
+            assert np.array_equal(flip[:, :cols.size], cb.matrix()[:n, cols])
+            assert not flip[:, cols.size:].any()

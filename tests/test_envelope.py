@@ -1,6 +1,8 @@
 """Memory envelope at the 25-station cap: `gen` (to a file and to stdout),
-`superpose`, `encode` and exact `decode` each run as a child process whose
-peak RSS stays within PEAK_RSS_MB. No timing bound is set.
+`superpose`, `encode`, exact `decode` and `verify --check claims` each run
+as a child process whose peak RSS stays within PEAK_RSS_MB, and
+`decode --nearest` of a vector that reaches the class search within
+NEAREST_PEAK_RSS_MB. No timing bound is set.
 
 Each command is spawned by a fresh launcher interpreter that reports the
 child's peak from RUSAGE_CHILDREN. Linux carries a process's pre-exec
@@ -16,12 +18,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import collisioncode as cc
+from collisioncode import _classes
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux",
                                 reason="ru_maxrss is in KiB on Linux")
 
 PEAK_RSS_MB = 150
+NEAREST_PEAK_RSS_MB = 256  # the class search's flip rows and sum tables
 STATIONS = list(range(1, 26, 2))  # 13 of the 25 stations
 SRC = Path(__file__).resolve().parent.parent / "src"
 _LAUNCHER = """
@@ -106,3 +113,30 @@ def test_exact_decode(work, gen_out, superposed):
     assert code == 0 and peak <= PEAK_RSS_MB, peak
     assert json.loads(out.read_text()) == {"kind": "identified",
                                            "stations": STATIONS}
+
+
+def test_nearest_decode_through_the_class_search(work, gen_out):
+    """12 stations under sigma=0.7 noise: the top-k candidate is too far
+    from the vector to be certified, so the class search runs."""
+    stations = sorted((np.random.default_rng(1).choice(25, 12, replace=False)
+                       + 1).tolist())
+    bits = cc.threshold_noisy(cc.superpose_noisy(
+        cc.build_codebook(25), stations, 0.7, 1))
+    vector = work / "noisy.txt"
+    vector.write_text(cc.bits_to_str(bits))
+    out = work / "nearest.json"
+    code, peak = run_cli(out, "decode", "--codebook", gen_out[0],
+                         "--vector-file", vector, "--nearest")
+    assert code == 0 and peak <= NEAREST_PEAK_RSS_MB, peak
+    decoded = json.loads(out.read_text())
+    assert decoded["kind"] == "identified" and decoded["stations"] == stations
+    assert 2 * decoded["distance"] >= _classes.radius(25, 12)
+
+
+def test_verify_claims(work):
+    out = work / "claims.json"
+    code, peak = run_cli(out, "verify", "--n", 25, "--check", "claims",
+                         "--trials", 20)
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    assert json.loads(out.read_text()) == {
+        "n": 25, "trials": 20, "seed": 1, "ok": True, "counterexample": None}

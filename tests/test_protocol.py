@@ -1,6 +1,7 @@
 """Multicast ACK session simulation."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,21 @@ class TestRunRound:
     def test_rejects_empty_intended(self):
         with pytest.raises(ValueError):
             protocol.run_round(cached_codebook(3), set(), config(), 1)
+
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    @pytest.mark.parametrize("intended,listed", [
+        ({99}, "[99]"), ({0, -4}, "[-4, 0]"), ({2, 6}, "[2, 6]")])
+    def test_rejects_ids_outside_the_code_at_any_loss(self, loss, intended,
+                                                      listed):
+        """The ids are checked before the losses are drawn, so a round
+        that would lose every station refuses them as one that keeps
+        them does, with superpose's message."""
+        cb = cached_codebook(5)
+        message = f"^{re.escape(f'station ids must lie in 1..5, got {listed}')}$"
+        with pytest.raises(ValueError, match=message):
+            protocol.run_round(cb, intended, config(n=5, loss=loss, rounds=4), 3)
+        with pytest.raises(ValueError, match=message):
+            cc.superpose(cb, intended)
 
 
 class TestRunSession:

@@ -367,10 +367,10 @@ class TestChipSums:
     """The one count kernel against the pure-Python chip sums."""
 
     @staticmethod
-    def kernel_sums(matrix, cols, masks):
+    def kernel_sums(cb, cols, masks):
         """Every yielded block, checked to tile the masks in order."""
         sums, stop = [], 0
-        for sl, block in _subsets._chip_sums(matrix, cols, masks):
+        for sl, block in _subsets._chip_sums(cb, cols, masks):
             assert sl.start == stop and block.dtype == np.float32
             assert block.shape == (sl.stop - sl.start, len(cols))
             assert block.nbytes <= max(_subsets._KERNEL_BYTES, 4 * len(cols))
@@ -396,7 +396,7 @@ class TestChipSums:
         rows = random_rows(rng, m, v)
         cols = verifier._column_tiles(v)[int(rng.integers(-(-v // 64)))]
         masks = np.concatenate([[1, (1 << m) - 1], rng.integers(1, 1 << m, 40)])
-        assert (self.kernel_sums(codebook_from_rows(rows).matrix(), cols, masks)
+        assert (self.kernel_sums(codebook_from_rows(rows), cols, masks)
                 == self.oracle_sums(rows, cols.tolist(), masks.tolist()))
 
     def test_sampled_columns_at_the_cap(self):
@@ -407,7 +407,7 @@ class TestChipSums:
         rows = ["".join(map(str, row)) for row in cb.matrix()[:, cols].tolist()]
         masks = np.concatenate([[1, 1 << 24, (1 << 25) - 1],
                                 rng.integers(1, 1 << 25, 60)])
-        sums = self.kernel_sums(cb.matrix(), cols, masks)
+        sums = self.kernel_sums(cb, cols, masks)
         assert sums == self.oracle_sums(rows, range(200), masks.tolist())
         assert sums[2] == [1] * 200  # all 25 rows: 13 ones, 12 zeros
 
