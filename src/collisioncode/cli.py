@@ -13,22 +13,18 @@ import sys
 import numpy as np
 
 from . import channel, decoder, protocol, verifier
-from .codebook import (FormatError, _parse_bytes, _read_codebook,
-                       _write_document, bits_to_str, build_codebook,
-                       codeword_for, str_to_bits)
+from .codebook import (FormatError, _read_codebook, _write_document,
+                       bits_to_str, build_codebook, codeword_for, str_to_bits)
 
 
 def _load_codebook(path: str):
-    # bytes, not text mode, so CR bytes reach the parser instead of being
-    # folded into newlines. A file is read a row at a time; stdin and a
-    # pipe are read whole first, because a refused document is read again
-    # from its start to find its first fault
+    # bytes, not text mode, so a CR reaches the parser as it is. A file
+    # or stdin redirected from one is read a row at a time, a pipe whole
+    # first, since a refused document is read again from where it began
     if path == "-":
-        return _parse_bytes(sys.stdin.buffer.read())
+        return _read_codebook(sys.stdin.buffer)
     with open(path, "rb") as fh:
-        if fh.seekable():
-            return _read_codebook(fh)
-        return _parse_bytes(fh.read())
+        return _read_codebook(fh)
 
 
 def _parse_stations(text: str) -> frozenset[int]:

@@ -27,14 +27,13 @@ A document is streamed a row at a time both ways, through one reused
 buffer of V+1 bytes. Writing renders each row from the column values as
 '0'/'1' characters and LF. Reading takes the header line, then reads
 each row into the buffer, checks its length, LF and characters, and
-folds it into the column values, which are then checked. A file is read
-this way directly; `parse_codebook`, stdin and pipes go through the same
-reader over an in-memory stream. A document that does not read as a
-valid header and V-character rows goes to one fault finder, which
-scans the whole document for the first fault in the order a line-by-line
-read would meet them, so the library and the CLI accept the same
-documents and refuse the rest with the same error. The fault finder
-never decodes a refused document to text.
+folds it into the column values, which are then checked. One reader
+serves a file, stdin and the bytes of `parse_codebook` from where the
+stream stands; only a pipe is first read whole. A refused document is
+read again whole, from where it began, and one fault finder scans its
+bytes (decoding only the header line) for the first fault in the order
+a line-by-line read meets them, so the library and the CLI accept the
+same documents and refuse the rest with the same error.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -232,13 +231,18 @@ def bits_to_str(bits: np.ndarray) -> str:
 def str_to_bits(s: str) -> np.ndarray:
     """Parse an ASCII '0'/'1' string into a uint8 vector."""
     try:
-        arr = np.frombuffer(s.encode("ascii"), np.uint8) - ord("0")
+        chars = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise FormatError(f"non-ASCII character in bit string: {exc}") from None
-    if ((arr != 0) & (arr != 1)).any():
-        bad = s[int(np.flatnonzero((arr != 0) & (arr != 1))[0])]
-        raise FormatError(f"invalid bit character {bad!r}")
-    return arr
+    _check_bit_chars(chars)
+    return np.frombuffer(chars, np.uint8) - ord("0")
+
+
+def _check_bit_chars(chars: bytes) -> None:
+    """Raise FormatError at the first byte of chars other than '0' or '1'."""
+    bad = chars.translate(None, b"01")
+    if bad:
+        raise FormatError(f"invalid bit character {chr(bad[0])!r}")
 
 
 def serialize_codebook(cb: Codebook) -> str:
@@ -279,22 +283,20 @@ def parse_codebook(doc: str) -> Codebook:
         data = doc.encode("ascii")
     except UnicodeEncodeError as exc:
         raise FormatError(f"non-ASCII character in document: {exc}") from None
-    return _parse_bytes(data)
-
-
-def _parse_bytes(data) -> Codebook:
-    """The codebook of a document given whole, as bytes or a uint8 array."""
     return _read_codebook(io.BytesIO(data))
 
 
 def _read_codebook(fh) -> Codebook:
-    """The codebook of the document read from the seekable binary stream
-    fh, positioned at its start. A document that `_read_rows` does not
-    accept raises the fault that `_raise_first_fault` finds first."""
+    """The codebook of the document on the binary stream fh from its
+    current position, read whole first if fh cannot seek. A document
+    `_read_rows` refuses is read again whole for `_raise_first_fault`."""
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
     cb = _read_rows(fh)
     if cb is None:
-        fh.seek(0)
-        _raise_first_fault(np.frombuffer(fh.read(), np.uint8))
+        fh.seek(start)
+        _raise_first_fault(fh.read())
     return cb
 
 
@@ -380,35 +382,32 @@ def _header_fields(head: str) -> tuple[int, int, int, int]:
     return n, n_rows, r, v
 
 
-def _raise_first_fault(buf: np.ndarray) -> NoReturn:
+def _raise_first_fault(doc: bytes) -> NoReturn:
     """Raise the first fault of a document `_read_rows` refused, in the
     order a line-by-line read meets them: a non-ASCII byte (as the error
     of `bytes.decode`), a missing final LF, the header's faults, the row
-    line count, then each row's length before its characters. The bytes
-    are scanned with numpy, never decoded or split into lines."""
-    if buf.max(initial=0) >= 0x80:
-        # the error ASCII decoding raises at the first such byte; its
-        # message reads the byte from the object, at the error's start
-        pos = int(np.argmax(buf >= 0x80))
-        raise UnicodeDecodeError("ascii", bytes(buf[:pos + 1]), pos, pos + 1,
+    line count, then each row's length before its characters."""
+    if not doc.isascii():
+        # the error ASCII decoding raises at the first such byte, found a
+        # MiB at a time; its message reads the byte from the object
+        view, step = np.frombuffer(doc, np.uint8), 1 << 20
+        pos = next(c0 + int(np.argmax(view[c0:c0 + step] >= 0x80))
+                   for c0 in range(0, len(view), step)
+                   if view[c0:c0 + step].max() >= 0x80)
+        raise UnicodeDecodeError("ascii", doc, pos, pos + 1,
                                  "ordinal not in range(128)")
-    if not len(buf) or buf[-1] != ord("\n"):
+    if not doc.endswith(b"\n"):
         raise FormatError("document must end with a newline")
-    newline = buf == ord("\n")
-    _, n_rows, _, v = _header_fields(
-        bytes(buf[:newline.argmax()]).decode("ascii"))
-    lines = np.count_nonzero(newline)
+    end = doc.index(b"\n")
+    _, n_rows, _, v = _header_fields(doc[:end].decode("ascii"))
+    lines = doc.count(b"\n")
     if lines != 1 + n_rows:
         raise FormatError(f"expected {n_rows} row lines, got {lines - 1}")
-    ends = np.flatnonzero(newline)
-    for i, (a, b) in enumerate(zip(ends[:-1] + 1, ends[1:]), start=1):
-        row = buf[a:b]
-        if len(row) != v:
-            raise FormatError(f"row {i} has length {len(row)}, expected {v}")
-        bad = row - np.uint8(ord("0")) > 1
-        if bad.any():
-            raise FormatError(
-                f"invalid bit character {chr(row[bad.argmax()])!r}")
+    for i in range(1, n_rows + 1):
+        start, end = end + 1, doc.index(b"\n", end + 1)
+        if end - start != v:
+            raise FormatError(f"row {i} has length {end - start}, expected {v}")
+        _check_bit_chars(doc[start:end])
 
 
 def _check_values(vals: np.ndarray, r: int) -> None:

@@ -86,7 +86,10 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
     if arr.ndim != 1 or arr.size != cb.v_length:
         raise ValueError(
             f"received vector has length {arr.size}, expected {cb.v_length}")
-    if ((arr != 0) & (arr != 1)).any():
+    # one pass over a uint8 input; other types are compared, not cast,
+    # so that a NaN or a wrapped value is refused without a cast warning
+    if (arr.max() > 1 if arr.dtype == np.uint8
+            else ((arr != 0) & (arr != 1)).any()):
         raise ValueError("received vector entries must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import types
 
@@ -244,6 +246,50 @@ class TestBytesLoader:
             assert run(capsys, ["encode", "--codebook", "-", "--station",
                                 "1"]) == self.encode_result(data), data
 
+    def test_unseekable_stdin_matches_text_parse(self, monkeypatch):
+        """stdin from a pipe is read whole, then as a file is."""
+        class Pipe(io.BytesIO):
+            def seekable(self):
+                return False
+        for data in self.corpus():
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Pipe(data)))
+            assert (self.outcome(cli._load_codebook, "-")
+                    == self.text_outcome(data)), data
+
+    def test_stdin_after_a_prefix_matches_text_parse(self, monkeypatch):
+        """A seekable stdin already past some bytes holds the document
+        from there on; a non-ASCII byte's position counts from there."""
+        prefix = b"COLLISIONCODE v1\n\xff"
+        for data in self.corpus():
+            stdin = io.BytesIO(prefix + data)
+            stdin.seek(len(prefix))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+            assert (self.outcome(cli._load_codebook, "-")
+                    == self.text_outcome(data)), data
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_stdin_file_after_a_prefix(self, tmp_path, refused):
+        """encode's stdin, a file whose offset is past a junk prefix,
+        loads as parse_codebook of the rest: a valid document, or one
+        refused with the position of its non-ASCII byte."""
+        data = cc.serialize_codebook(cached_codebook(5)).encode()
+        if refused:
+            data = data[:-2] + b"\xff\n"
+        prefix = b"junk\n\xff\x80"
+        path = tmp_path / "cb.txt"
+        path.write_bytes(prefix + data)
+        with open(path, "rb") as stdin:
+            stdin.seek(len(prefix))
+            done = subprocess.run(
+                [sys.executable, "-m", "collisioncode.cli", "encode",
+                 "--codebook", "-", "--station", "1"], stdin=stdin,
+                capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                    os.path.dirname(cc.__file__))))
+        assert ((done.returncode, done.stdout, done.stderr)
+                == self.encode_result(data))
+        assert done.returncode == 2 * refused
+
     def test_valid_file_is_not_decoded(self, tmp_path, monkeypatch):
         path = tmp_path / "cb.txt"
         path.write_text(cc.serialize_codebook(cached_codebook(9)))
@@ -259,8 +305,9 @@ class TestBytesLoader:
     def test_array_parse_matches_bytes_parse(self):
         for data in self.corpus():
             buf = np.frombuffer(data, np.uint8).copy()
-            assert (self.outcome(codebook._parse_bytes, buf)
-                    == self.outcome(codebook._parse_bytes, data)), data
+            assert (self.outcome(codebook._read_codebook, io.BytesIO(buf))
+                    == self.outcome(codebook._read_codebook,
+                                    io.BytesIO(data))), data
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
     def test_header_longer_than_the_searched_prefix(self, tmp_path, extra):
@@ -313,8 +360,8 @@ class TestLoaderSources:
         data = self.documents()[kind]
         path = tmp_path / "cb.txt"
         path.write_bytes(data)
-        expected = TestBytesLoader.outcome(codebook._parse_bytes,
-                                           path.read_bytes())
+        expected = TestBytesLoader.outcome(codebook._read_codebook,
+                                           io.BytesIO(path.read_bytes()))
         assert TestBytesLoader.outcome(cli._load_codebook, str(path)) == expected
         assert self.through_fifo(tmp_path, data, lambda p: TestBytesLoader.outcome(
             cli._load_codebook, p)) == expected
@@ -333,7 +380,8 @@ class TestLoaderSources:
         data = self.documents()[kind]
         path = tmp_path / "cb.txt"
         path.write_bytes(data)
-        expected = TestBytesLoader.outcome(codebook._parse_bytes, data)
+        expected = TestBytesLoader.outcome(codebook._read_codebook,
+                                           io.BytesIO(data))
         size = len(data) + shift
         monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
             st_size=size))

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -99,9 +100,30 @@ class TestDecodeExact:
         with pytest.raises(ValueError):
             cc.decode_exact(cached_codebook(3), cc.str_to_bits("0110"))
 
+    DECODERS = [cc.decode_exact,
+                functools.partial(cc.decode_nearest, max_dist=3)]
+
     def test_rejects_non_binary_entries(self):
-        with pytest.raises(ValueError):
-            cc.decode_exact(cached_codebook(3), np.array([0, 2, 1]))
+        """Each decoder refuses a vector that does not hold 0/1 values
+        exactly, without a cast warning."""
+        cb = cached_codebook(3)
+        for decode in self.DECODERS:
+            for received in (np.array([0, 2, 1]),
+                             np.array([0, -1, 1], np.int16),
+                             np.array([0, 256, 1], np.int16),
+                             np.array([0, 0.5, 1]), np.array([0, np.nan, 1]),
+                             np.array([[0, 1, 1]])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError):
+                        decode(cb, received)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_accepts_bool_and_float_bits(self, dtype):
+        cb = cached_codebook(3)
+        for decode in self.DECODERS:
+            assert decode(cb, np.array([1, 1, 0], dtype)) == cc.DecodeOutcome(
+                cc.IDENTIFIED, frozenset({1}), 0)
 
     @given(st.integers(1, 9), st.data())
     @settings(max_examples=60, deadline=None)

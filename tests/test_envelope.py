@@ -1,8 +1,10 @@
 """Memory envelope at the 25-station cap: `gen` (to a file and to stdout),
-`superpose`, `encode`, exact `decode` and `verify --check claims` each run
-as a child process whose peak RSS stays within PEAK_RSS_MB, and
-`decode --nearest` of a vector that reaches the class search within
-NEAREST_PEAK_RSS_MB. No timing bound is set.
+`superpose`, `encode` (from a file and from stdin redirected from it),
+exact `decode` and `verify --check claims` each run as a child process
+whose peak RSS stays within PEAK_RSS_MB, `decode --nearest` of a vector
+that reaches the class search within NEAREST_PEAK_RSS_MB, and the refusal
+of a corrupted codebook file within REFUSAL_PEAK_RSS_MB. No timing bound
+is set.
 
 Each command is spawned by a fresh launcher interpreter that reports the
 child's peak from RUSAGE_CHILDREN. Linux carries a process's pre-exec
@@ -14,6 +16,7 @@ import filecmp
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,23 +32,29 @@ pytestmark = pytest.mark.skipif(sys.platform != "linux",
 
 PEAK_RSS_MB = 150
 NEAREST_PEAK_RSS_MB = 256  # the class search's flip rows and sum tables
+REFUSAL_PEAK_RSS_MB = 200  # the refused document, read again whole
 STATIONS = list(range(1, 26, 2))  # 13 of the 25 stations
 SRC = Path(__file__).resolve().parent.parent / "src"
 _LAUNCHER = """
 import resource, subprocess, sys
-with open(sys.argv[1], "wb") as out:
-    code = subprocess.run(sys.argv[2:], stdout=out).returncode
+with (open(sys.argv[1], "wb") as out, open(sys.argv[2], "rb") as inp,
+      open(sys.argv[3], "wb") as err):
+    code = subprocess.run(sys.argv[4:], stdin=inp, stdout=out,
+                          stderr=err).returncode
 print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def run_cli(stdout_path, *argv) -> tuple[int, float]:
+def run_cli(stdout_path, *argv, stdin=os.devnull,
+            stderr=os.devnull) -> tuple[int, float]:
     """(exit code, peak RSS in MB) of one CLI run in a child process whose
-    stdout goes to stdout_path."""
+    stdin is read from the file stdin and whose stdout and stderr go to
+    the files stdout_path and stderr."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(stdout_path), sys.executable,
-         "-m", "collisioncode.cli", *map(str, argv)],
+        [sys.executable, "-c", _LAUNCHER, str(stdout_path), str(stdin),
+         str(stderr), sys.executable, "-m", "collisioncode.cli",
+         *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=300, check=True)
     code, kib = done.stdout.split()
@@ -100,6 +109,58 @@ def test_encode(work, gen_out):
     word = out.read_bytes()
     assert len(word) == math.comb(25, 13) + 1 and word.endswith(b"\n")
     assert word.count(b"1") == math.comb(24, 12)
+
+
+def test_encode_from_stdin(work, gen_out):
+    """stdin redirected from the file is read a row at a time, as the
+    file is."""
+    out = work / "encode-stdin.txt"
+    code, peak = run_cli(out, "encode", "--station", 25, "--codebook", "-",
+                         stdin=gen_out[0])
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    assert out.read_text() == cc.bits_to_str(
+        cc.codeword_for(cc.build_codebook(25), 25)) + "\n"
+
+
+V25 = math.comb(25, 13)
+HEAD25 = len(f"COLLISIONCODE v1 N=25 ROWS=25 R=13 V={V25}\n")
+
+
+def splice(src, dst, pos: int, cut: int, insert: bytes) -> None:
+    """Copy the file src to dst with the cut bytes at pos (counted from
+    the end if negative) replaced by insert, a MiB at a time."""
+    pos %= src.stat().st_size
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        while fin.tell() < pos:
+            fout.write(fin.read(min(1 << 20, pos - fin.tell())))
+        fout.write(insert)
+        fin.seek(cut, os.SEEK_CUR)
+        shutil.copyfileobj(fin, fout)
+
+
+@pytest.mark.parametrize("pos, cut, insert, message", [
+    (-2, 1, b"x", "invalid bit character 'x'"),
+    (-1, 1, b"", "document must end with a newline"),
+    (-V25 + 2, 1, b"\xff", "'ascii' codec can't decode byte 0xff in position "
+                          f"{HEAD25 + 24 * (V25 + 1) + 3}: ordinal not in "
+                          "range(128)"),
+    (HEAD25 + 10, 0, b"\n", "expected 25 row lines, got 26"),
+    (-5, 4, b"", f"row 25 has length {V25 - 4}, expected {V25}"),
+], ids=["bad byte in the last row", "no final LF", "high byte in the last row",
+        "extra LF in row 1", "last row 4 bytes short"])
+def test_refused_file(work, gen_out, pos, cut, insert, message):
+    """A corrupted document is refused, exit 2 and the first fault's
+    message, within REFUSAL_PEAK_RSS_MB."""
+    bad, out, err = work / "bad.txt", work / "bad.out", work / "bad.err"
+    splice(gen_out[0], bad, pos, cut, insert)
+    try:
+        code, peak = run_cli(out, "encode", "--station", 1, "--codebook", bad,
+                             stderr=err)
+    finally:
+        bad.unlink()
+    assert code == 2 and peak <= REFUSAL_PEAK_RSS_MB, peak
+    assert out.read_bytes() == b""
+    assert err.read_text() == f"error: {message}\n"
 
 
 def test_exact_decode(work, gen_out, superposed):
