@@ -13,6 +13,8 @@ All randomness is derived from an explicit seed through a NumPy PCG64
 generator, so noisy samples are reproducible.
 """
 
+import numbers
+
 import numpy as np
 
 from .codebook import Codebook
@@ -44,12 +46,19 @@ def superpose(cb: Codebook, stations) -> np.ndarray:
 
 def _station_ids(cb: Codebook, stations) -> list[int]:
     """The distinct ids of `stations`, ascending; ValueError unless every
-    one lies in 1..n_stations."""
-    ids = sorted({int(i) for i in stations})
+    one is an integer (an int or a numpy integer, not a bool) in
+    1..n_stations."""
+    ids = sorted({i if type(i) is int else _station_id(i) for i in stations})
     if ids and not (1 <= ids[0] and ids[-1] <= cb.n_stations):
         raise ValueError(
             f"station ids must lie in 1..{cb.n_stations}, got {ids}")
     return ids
+
+
+def _station_id(i) -> int:
+    if isinstance(i, numbers.Integral) and not isinstance(i, bool):
+        return int(i)
+    raise ValueError(f"station ids must be integers, got {i!r}")
 
 
 def demodulate(sums: np.ndarray) -> np.ndarray:

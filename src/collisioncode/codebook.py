@@ -16,12 +16,13 @@ verifier reads row blocks and the class search byte planes of the
 column values directly, so no library path derives the unpacked matrix
 (`matrix()`, 130 MB at the cap); it stays for callers that want it.
 
-Building splits the rows into a top and a bottom half. In descending
-order, the weight-R columns are: for each top-half pattern in descending
-order, every bottom-half pattern that completes its weight to R, also in
-descending order. So the column values are each top-half value repeated
-over its run, OR'd with one concatenation of small per-weight tables of
-bottom-half values; no 2^rows range is ever enumerated.
+Building splits the rows into a top half and a bottom half of as many
+rows or one more. In descending order, the weight-R columns are: for
+each top-half pattern in descending order, every bottom-half pattern
+that completes its weight to R, also in descending order. So the column
+values are each top-half value repeated over its run, OR'd with one
+concatenation of small per-weight tables of bottom-half values; no
+2^rows range is ever enumerated.
 
 A document is streamed a row at a time both ways, through one reused
 buffer of V+1 bytes. Writing renders each row from the column values as
@@ -177,8 +178,9 @@ def build_codebook(n_stations: int) -> Codebook:
     n_rows = n_stations + (n_stations % 2 == 0)
     r = (n_rows + 1) // 2
     # each top-half value repeats over a run of columns, and the bottom
-    # halves are one concatenation of per-weight tables
-    lo_bits = n_rows // 2
+    # halves are one concatenation of per-weight tables; the top half
+    # takes the fewer bits, so there are fewer runs to concatenate
+    lo_bits = n_rows - n_rows // 2
     dtype = _column_dtype(n_rows)
     hi_vals = _patterns(n_rows - lo_bits, dtype)
     lo_vals = _patterns(lo_bits, dtype)

@@ -96,9 +96,10 @@ def _check_bits(cb: Codebook, received) -> np.ndarray:
 
 def _correlation(cb: Codebook, packed_bits: np.ndarray) -> np.ndarray:
     """Ones shared by the packed bits and each station's codeword."""
-    # the padding row of an even-n codebook belongs to no station
+    # the padding row of an even-n codebook belongs to no station; a sum
+    # is at most V < 2^31, so int32 is exact
     return np.bitwise_count(cb.packed[:cb.n_stations] & packed_bits).sum(
-        axis=1, dtype=np.int64)
+        axis=1, dtype=np.int32)
 
 
 def decode_exact(cb: Codebook, received) -> DecodeOutcome:

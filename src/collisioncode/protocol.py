@@ -13,8 +13,17 @@ to nothing (no-match), which confirms nobody.
 Sessions are fully deterministic given the config seed: round seeds are
 drawn from a master PCG64 stream, and each round draws its per-station
 losses, then its noise seed, from its own generator.
+
+A basestation runs one session after another for the same stations, and
+the codebook is a function of the station count alone. So sessions
+share the codebook of the last station count they ran, with its packed
+rows derived, and build another only when the count changes: at most
+one is held, 37 MB at the 25-station cap. No session result holds it,
+and its arrays are read-only, so sharing it changes no output.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,12 @@ class SessionConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_stations", "max_rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # held as an int, so a numpy integer's session prints as JSON
+            object.__setattr__(self, name, int(value))
         if self.n_stations < 1:
             raise ValueError("n_stations must be >= 1")
         if not 0.0 <= self.loss_prob <= 1.0:
@@ -120,9 +135,17 @@ def run_round(cb: Codebook, intended, cfg: SessionConfig, round_seed: int,
     return RoundResult(round_index, targets, received, outcome, newly)
 
 
+@functools.lru_cache(maxsize=1)
+def _session_codebook(n_stations: int) -> Codebook:
+    """The codebook that sessions at n_stations share, packed rows derived."""
+    cb = build_codebook(n_stations)
+    cb.packed  # derived once here, not in each session's first decode
+    return cb
+
+
 def run_session(cfg: SessionConfig) -> SessionStats:
     """Retransmit to the unconfirmed set until everyone ACKed or rounds run out."""
-    cb = build_codebook(cfg.n_stations)
+    cb = _session_codebook(cfg.n_stations)
     master = np.random.default_rng(cfg.seed)
     pending = set(range(1, cfg.n_stations + 1))
     rounds: list[RoundResult] = []

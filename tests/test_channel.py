@@ -1,6 +1,7 @@
 """BPSK mapping, majority demodulation, and the noisy extension."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestSuperpose:
         with pytest.raises(ValueError) as exc:
             cc.superpose(cb, {5, 1})
         assert str(exc.value) == "station ids must lie in 1..4, got [1, 5]"
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True,
+                                     np.bool_(True), "2", None])
+    def test_rejects_ids_that_are_not_integers(self, bad):
+        """A float is refused, not truncated to a station: 2.7 would
+        otherwise superpose station 2."""
+        with pytest.raises(ValueError, match=r"^station ids must be integers, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            cc.superpose(cached_codebook(5), [1, bad])
+
+    @pytest.mark.parametrize("kind", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_accepts_numpy_integer_ids(self, kind):
+        cb = cached_codebook(5)
+        ids = np.array([4, 2, 2], kind)
+        assert cc.superpose(cb, ids).tolist() == cc.superpose(cb, [2, 4]).tolist()
 
     @given(st.integers(1, 9), st.data())
     @settings(max_examples=60)

@@ -2,9 +2,9 @@
 `superpose`, `encode` (from a file and from stdin redirected from it),
 exact `decode` and `verify --check claims` each run as a child process
 whose peak RSS stays within PEAK_RSS_MB, `decode --nearest` of a vector
-that reaches the class search within NEAREST_PEAK_RSS_MB, and the refusal
-of a corrupted codebook file within REFUSAL_PEAK_RSS_MB. No timing bound
-is set.
+that reaches the class search and `simulate` on the ideal and the noisy
+channel within NEAREST_PEAK_RSS_MB, and the refusal of a corrupted
+codebook file within REFUSAL_PEAK_RSS_MB. No timing bound is set.
 
 Each command is spawned by a fresh launcher interpreter that reports the
 child's peak from RUSAGE_CHILDREN. Linux carries a process's pre-exec
@@ -201,3 +201,20 @@ def test_verify_claims(work):
     assert code == 0 and peak <= PEAK_RSS_MB, peak
     assert json.loads(out.read_text()) == {
         "n": 25, "trials": 20, "seed": 1, "ok": True, "counterexample": None}
+
+
+@pytest.mark.parametrize("sigma,rounds", [(None, 8), (0.2, 2)])
+def test_simulate(work, sigma, rounds):
+    """A session at the cap: its shared codebook, each round's V-chip
+    superposition and decode, and on the noisy channel the float64
+    samples."""
+    noise = [] if sigma is None else ["--sigma", sigma]
+    out = work / "simulate.json"
+    code, peak = run_cli(out, "simulate", "--n", 25, "--loss", 0.3, *noise,
+                         "--rounds", rounds, "--seed", 1)
+    assert code == 0 and peak <= NEAREST_PEAK_RSS_MB, peak
+    stats = json.loads(out.read_text())
+    assert stats["n"] == 25 and stats["noise_sigma"] == (sigma or 0.0)
+    assert stats["rounds_used"] == len(stats["per_round"]) <= rounds
+    if sigma is None:
+        assert stats["completed"] and stats["undecodable_rounds"] == 0

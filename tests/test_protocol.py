@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,28 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             config(**kwargs)
+
+    @pytest.mark.parametrize("field,kwarg", [
+        ("n_stations", "n"), ("max_rounds", "rounds"), ("seed", "seed")])
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, np.bool_(True), "3"])
+    def test_refuses_counts_that_are_not_integers(self, field, kwarg, bad):
+        """Refused at construction: not carried into the build, the seed
+        sequence or the JSON, and not rounded (2.5 rounds would run 3)."""
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
+                                             rf"got {re.escape(repr(bad))}$"):
+            config(**{kwarg: bad})
+
+    @pytest.mark.parametrize("kind", [np.int16, np.int64, np.uint32])
+    def test_accepts_numpy_integers(self, kind):
+        """They are held as ints, so the session runs and prints as the
+        plain config's does."""
+        cfg = config(n=kind(5), loss=0.3, rounds=kind(6), seed=kind(4))
+        plain = config(n=5, loss=0.3, rounds=6, seed=4)
+        assert cfg == plain
+        assert all(type(v) is int
+                   for v in (cfg.n_stations, cfg.max_rounds, cfg.seed))
+        assert (json.dumps(protocol.run_session(cfg).to_json_dict())
+                == json.dumps(protocol.run_session(plain).to_json_dict()))
 
     def test_round_budget(self):
         stats = protocol.run_session(config(n=3, loss=1.0, rounds=1000))
@@ -148,3 +171,50 @@ class TestRunSession:
                           "per_round"}
         assert set(d["per_round"][0]) == {"round", "received", "decoded",
                                           "confirmed"}
+
+
+class TestSessionCodebook:
+    """Sessions share the codebook of the last station count they ran."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 15])
+    def test_cold_and_warm_sessions_are_byte_identical(self, n, sigma):
+        cfg = config(n=n, loss=0.3, rounds=12, seed=5, sigma=sigma)
+        protocol._session_codebook.cache_clear()
+        cold = json.dumps(protocol.run_session(cfg).to_json_dict())
+        misses = protocol._session_codebook.cache_info().misses
+        warm = json.dumps(protocol.run_session(cfg).to_json_dict())
+        info = protocol._session_codebook.cache_info()
+        assert info.misses == misses and info.hits >= 1
+        assert warm == cold
+
+    def test_interleaved_sizes_get_their_own_codebook(self):
+        protocol._session_codebook.cache_clear()
+        cold = {n: json.dumps(protocol.run_session(
+                    config(n=n, loss=0.3, rounds=10, seed=n)).to_json_dict())
+                for n in (7, 15)}
+        for n in (7, 15, 7, 7, 15):
+            stats = protocol.run_session(config(n=n, loss=0.3, rounds=10, seed=n))
+            assert json.dumps(stats.to_json_dict()) == cold[n]
+            assert protocol._session_codebook(n) == cached_codebook(n)
+        # one entry at most: the change of size 7 -> 15 -> 7 rebuilds
+        assert protocol._session_codebook.cache_info().currsize == 1
+
+    def test_over_the_cap_is_refused_before_any_round(self, monkeypatch):
+        protocol.run_session(config(n=7, loss=0.3, rounds=4))
+        before = protocol._session_codebook.cache_info()
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(protocol, "run_round", no_round)
+        for _ in range(2):
+            with pytest.raises(cc.SizeLimitError, match=r"^n_stations=26 "):
+                protocol.run_session(config(n=26, loss=0.3, rounds=4))
+        after = protocol._session_codebook.cache_info()
+        # each refusal is a fresh miss: the failed build was not stored,
+        # and the 7-station codebook is still the one held
+        assert after.misses == before.misses + 2
+        assert after.currsize == 1
+        protocol._session_codebook(7)
+        assert protocol._session_codebook.cache_info().hits == after.hits + 1
