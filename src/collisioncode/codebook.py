@@ -11,10 +11,11 @@ construction deterministic.
 So one integer describes each column: its value, with row 1 as the most
 significant bit. A `Codebook` holds those column values (`vals`, one
 uint32 per column at most, 21 MB at the 25-station cap). The packed
-rows, which the decoder scans, are derived from them on first use. The
-verifier reads row blocks and the class search byte planes of the
-column values directly, so no library path derives the unpacked matrix
-(`matrix()`, 130 MB at the cap); it stays for callers that want it.
+rows, which the decoder scans and the verifier counts row weights in,
+are derived from them on first use. The verifier reads row blocks and
+the class search byte planes of the column values directly, so no
+library path derives the unpacked matrix (`matrix()`, 130 MB at the
+cap); it stays for callers that want it.
 
 Building splits the rows into a top half and a bottom half of as many
 rows or one more. In descending order, the weight-R columns are: for
@@ -50,6 +51,7 @@ File format (ASCII, LF line endings, no trailing whitespace):
 
 import io
 import math
+import numbers
 import re
 from functools import cached_property
 from typing import NoReturn
@@ -59,7 +61,7 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-_BLOCK_COLUMNS = 1 << 16  # columns per step of a derived row array; 8 | it
+_BLOCK_COLUMNS = 1 << 16  # columns per step of a row array or a superpose; 8 | it
 
 
 class SizeLimitError(ValueError):
@@ -167,8 +169,12 @@ def build_codebook(n_stations: int) -> Codebook:
     Even station counts get an extra padding row so the row count stays
     odd; that row keeps the column weights balanced but is never assigned
     to a station. Construction is deterministic: identical inputs yield
-    bit-identical codebooks.
+    bit-identical codebooks. A numpy integer is held as an int; a bool,
+    a float or a str is refused.
     """
+    if isinstance(n_stations, bool) or not isinstance(n_stations, numbers.Integral):
+        raise ValueError(f"n_stations must be an integer, got {n_stations!r}")
+    n_stations = int(n_stations)
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     if n_stations > MAX_STATIONS:

@@ -27,12 +27,19 @@ from `_chip_sums`:
   subsets, and the second the rest;
 * `sweep_witnesses` drops a subset once a tile holds its witness sum;
   the subsets no tile drops are the failures;
-* `verify_no_zero_vector` drops a subset once a tile holds a positive
-  chip sum; a subset that survives every tile demodulates to all zeros;
+* `verify_no_zero_vector` first settles, without a matmul, every subset
+  whose chip sums total more than zero over the whole codeword: the
+  total is the sum of 2 * weight - V over the subset's rows, and a
+  positive total needs a positive chip sum. It scans only the rest (on
+  the canonical codes, none), dropping a subset once a tile holds a
+  positive chip sum; a subset that survives every tile demodulates to
+  all zeros;
 * `verify_uniqueness` refines an exact partition of the subsets: each
-  tile packs a subset's demodulated bits into one uint64 word, groups
-  split on it and singletons leave. The groups left after the last tile
-  are the collisions. Nothing is hashed, so no tie is ever re-checked.
+  tile packs a subset's demodulated bits into one uint64 word. Subsets
+  whose word no other subset holds leave at once, found by one sort of
+  the words; groups split on the word and singletons leave. The groups
+  left after the last tile are the collisions. Nothing is hashed, so no
+  tie is ever re-checked.
 
 One row budget, UNIQUENESS_BUDGET_ROWS, read whenever an enumeration is
 called, keeps all three 2^rows scans at desk scale. The claims trials need
@@ -147,10 +154,11 @@ def _colliding_groups(cb: Codebook) -> list[list[int]]:
     demodulated vector, each as ascending subset masks.
 
     An exact partition of the subsets is refined a tile at a time: each
-    subset's demodulated bits on the tile are packed into one uint64 word,
-    the subsets are sorted on (group, word), groups split where the word
-    changes, and singletons, whose vector no other subset shares, are
-    dropped. Subsets still grouped after the last tile agree on every
+    subset's demodulated bits on the tile are packed into one uint64 word.
+    A subset whose word no other subset holds is a singleton whatever its
+    group, so it is dropped before the rest are sorted on (group, word);
+    groups split where the word changes, and the singletons this leaves
+    are dropped. Subsets still grouped after the last tile agree on every
     column.
     """
     live = np.arange(1, 1 << cb.n_rows)
@@ -167,9 +175,16 @@ def _colliding_groups(cb: Codebook) -> list[list[int]]:
         np.not_equal(group[1:], group[:-1], out=lead[1:])
         if (words == words[lead][np.cumsum(lead) - 1]).all():
             continue  # no group splits on this tile
-        order = np.lexsort((words, group))  # keeps every group in place
-        live, words = live[order], words[order]
-        lead[1:] |= words[1:] != words[:-1]
+        # a subset whose word no other subset holds is a singleton
+        ordered = np.sort(words)
+        held = np.flatnonzero(
+            np.isin(words, ordered[1:][ordered[1:] == ordered[:-1]]))
+        # keeps every group in place
+        order = held[np.lexsort((words[held], group[held]))]
+        live, group, words = live[order], group[order], words[order]
+        lead = np.empty(len(live), bool)  # first subset of its new group
+        lead[:1] = True
+        lead[1:] = (group[1:] != group[:-1]) | (words[1:] != words[:-1])
         group = np.cumsum(lead)
         shared = np.bincount(group)[group] > 1
         live, group = live[shared], group[shared]
@@ -299,10 +314,21 @@ def verify_no_zero_vector(cb: Codebook) -> bool:
     """True when no non-empty row subset demodulates to the all-zero vector.
 
     A subset demodulates to all zeros exactly when none of its chip sums
-    is positive, so a subset is settled by the first tile holding a
-    positive sum; the check fails only if one survives every tile.
+    is positive. Summed over every column, the chip sums of subset S
+    total the sum over its rows r of 2 * w_r - V, w_r being row r's
+    weight, and a positive total needs a positive chip sum. The totals
+    of all 2^m subsets are tabulated by doubling, one addition per row,
+    and settle every subset whose total is positive. Only the others are
+    scanned, each settled by the first tile holding a positive sum; the
+    check fails only if one survives every tile. On the canonical codes
+    every row has 2 * w_r - V = V / m > 0, so no subset is scanned.
     """
     m = cb.n_rows
     _check_budget(m, "uniqueness")
-    return not _unsettled(cb, np.arange(1, 1 << m),
+    weights = np.bitwise_count(cb.packed).sum(axis=1, dtype=np.int64)
+    gains = 2 * weights - cb.v_length  # each row's share of a total
+    totals = np.zeros(1 << m, np.int64)  # totals[mask]; bit r is row r + 1
+    for r in range(m):
+        np.add(totals[:1 << r], gains[r], out=totals[1 << r:2 << r])
+    return not _unsettled(cb, np.flatnonzero(totals[1:] <= 0) + 1,
                           lambda sums, _: (sums > 0).any(axis=1)).size

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,31 @@ class TestSuperpose:
         assert sums[cols].tolist() == [oracles.chip_sum(rows, range(1, 26), c + 1)
                                        for c in range(len(cols))]
         assert (sums == 1).all()
+
+    @pytest.mark.parametrize("n", range(8, 16))
+    def test_two_byte_column_values_match_the_matrix(self, n):
+        """8 to 15 stations hold uint16 column values, which superpose
+        widens before counting bits."""
+        cb = cached_codebook(n)
+        assert cb.vals.dtype == np.uint16
+        amps = 2 * cb.matrix().astype(np.int64) - 1
+        rng = np.random.default_rng(n)
+        for size in (1, 2, n // 2, n):
+            subset = sorted(rng.choice(n, size, replace=False) + 1)
+            assert cc.superpose(cb, subset).tolist() == amps[
+                np.array(subset) - 1].sum(axis=0).tolist()
+
+    def test_peak_at_the_cap(self):
+        """At n=25 the int16 sums are the whole peak but one block: no
+        temporary grows with V."""
+        cb = cc.build_codebook(25)
+        tracemalloc.start()
+        try:
+            sums = cc.superpose(cb, range(1, 26, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sums.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("n_rows", [26, 300])
     def test_more_rows_than_the_cap_are_refused(self, n_rows):

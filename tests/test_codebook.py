@@ -106,6 +106,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cc.build_codebook(0)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32, np.uint8, np.int8])
+    def test_numpy_integer_station_counts(self, kind):
+        cb = cc.build_codebook(kind(5))
+        assert type(cb.n_stations) is int
+        assert cb == cc.build_codebook(5)
+        assert cc.serialize_codebook(cb) == cc.serialize_codebook(cc.build_codebook(5))
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 5.0, np.float64(5),
+                                     "5", None])
+    def test_refuses_station_counts_that_are_not_integers(self, bad):
+        message = f"n_stations must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.build_codebook(bad)
+
     @given(st.integers(1, 9))
     def test_matrix_invariants(self, n):
         cb = cached_codebook(n)

@@ -1,6 +1,9 @@
 """The verifier's exhaustive and seeded code checks."""
 
 import functools
+import hashlib
+import itertools
+import json
 import math
 import subprocess
 import sys
@@ -241,12 +244,47 @@ class TestNoZeroVector:
          False),  # row 3 alone demodulates to zeros
         (["0"], False),
         (["1100", "0011", "1010", "0101", "1001"], False),
+        (["10"], True),  # total 0 settles nothing; column 1 does
+        (["00"], False),  # total -2 settles nothing; no column does
     ])
     def test_matches_brute_force(self, rows, expected):
         zero = "0" * len(rows[0])
         assert expected == all(oracles.demod(rows, subset) != zero
                                for subset in oracles.nonempty_subsets(len(rows)))
         assert cc.verify_no_zero_vector(codebook_from_rows(rows)) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_every_small_matrix_matches_oracle(self, m, v):
+        for bits in itertools.product("01", repeat=m * v):
+            rows = ["".join(bits[r * v:(r + 1) * v]) for r in range(m)]
+            assert (cc.verify_no_zero_vector(codebook_from_rows(rows))
+                    == oracles.zero_unreachable(rows)), rows
+
+    @staticmethod
+    def scanned(cb, monkeypatch):
+        """(verify_no_zero_vector(cb), the subset masks its tiles scanned)."""
+        masks = []
+        unsettled = verifier._unsettled
+
+        def spy(cb, live, settles):
+            masks.extend(live.tolist())
+            return unsettled(cb, live, settles)
+
+        monkeypatch.setattr(verifier, "_unsettled", spy)
+        return cc.verify_no_zero_vector(cb), masks
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 15])
+    def test_totals_settle_canonical_codes(self, n, monkeypatch):
+        """Every canonical row has 2 * weight - V = V / rows > 0, so the
+        subset totals settle every subset and no tile is scanned."""
+        assert self.scanned(cached_codebook(n), monkeypatch) == (True, [])
+
+    def test_only_unsettled_totals_are_scanned(self, monkeypatch):
+        """Row 1 has weight 1 of 4 (gain -2), rows 2 and 3 weight 3 (gain
+        +2): only {1}, {1, 2} and {1, 3}, of total <= 0, are scanned."""
+        cb = codebook_from_rows(["1000", "1011", "1110"])
+        assert self.scanned(cb, monkeypatch) == (True, [0b001, 0b011, 0b101])
 
 
 def random_rows(rng, m, v):
@@ -287,6 +325,31 @@ def edited_case(seed):
 
 def last_visited_column(v):
     return int(verifier._column_tiles(v)[-1][-1])
+
+
+def uniqueness_json(cb):
+    """verify_uniqueness's JSON report without its timing."""
+    d = cc.verify_uniqueness(cb).to_json_dict()
+    del d["elapsed_ms"]
+    return json.dumps(d)
+
+
+class TestUniquenessPinned:
+    """Reports pinned by sha256, so a faster refinement stays exact."""
+
+    def test_copied_row_at_fifteen_rows(self):
+        """Row 15 copied over row 4: 8,192 groups of colliding subsets."""
+        rows = cached_codebook(15).matrix().copy()
+        rows[3] = rows[14]
+        doc = uniqueness_json(cc.Codebook(15, rows))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "e26d0f13911e14a891e41a827d9d64533a0c1c987565268704982483f1db53f9")
+
+    def test_edited_cases(self):
+        doc = "\n".join(uniqueness_json(codebook_from_rows(edited_rows(seed)))
+                        for seed in range(40))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "a26cfaa5fcf2a58b9abf86a1c2ed6b315877872b55ae1ce1aea007a97aedaefb")
 
 
 class TestTileRefinement:
