@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .codebook import _BLOCK_COLUMNS, Codebook
+from .codebook import _BLOCK_COLUMNS, Codebook, _integer
 
 
 def modulate(bit: int) -> int:
@@ -103,10 +103,12 @@ def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> np.ndarr
     """float64 amplitude sums with i.i.d. Gaussian(0, sigma) noise per chip.
 
     Identical (codebook, stations, sigma, seed) always produce identical
-    samples; sigma=0 returns the integer sums exactly.
+    samples; sigma=0 returns the integer sums exactly. The seed must be a
+    non-negative integer; a numpy integer is held as an int.
     """
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be >= 0")
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     samples = superpose(cb, stations).astype(np.float64)

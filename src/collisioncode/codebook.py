@@ -25,11 +25,19 @@ values are each top-half value repeated over its run, OR'd with one
 concatenation of small per-weight tables of bottom-half values; no
 2^rows range is ever enumerated.
 
-A document is streamed a row at a time both ways, through one reused
-buffer of V+1 bytes. Writing renders each row from the column values as
-'0'/'1' characters and LF. Reading takes the header line, then reads
-each row into the buffer, checks its length, LF and characters, and
-folds it into the column values, which are then checked. One reader
+A document is streamed a row at a time both ways, through two buffers of
+V+1 bytes. Writing renders each row from the column values as '0'/'1'
+characters and LF. Reading takes the header line, then reads each row
+into a buffer, checks its length, LF and characters, and folds it into
+the column values, which are then checked. While the caller renders or
+folds the row in one buffer, a worker thread makes the stream's `write`
+or `readinto` call for the neighbouring row in the other: the call and
+numpy's loops both release the GIL, so the two overlap. The read-ahead
+stops at the header's ROWS lines, and the worker is joined before the
+writer or reader returns or raises, so a stream must accept calls from
+another thread but is never called from two at once. Rows shorter than
+_OVERLAP_BYTES (up to 21 stations) make their calls inline, where a
+hand-over would cost more than it saves. One reader
 serves a file, stdin and the bytes of `parse_codebook` from where the
 stream stands; only a pipe is first read whole. A refused document is
 read again whole, from where it began, and one fault finder scans its
@@ -53,6 +61,7 @@ import io
 import math
 import numbers
 import re
+import threading
 from functools import cached_property
 from typing import NoReturn
 
@@ -62,6 +71,7 @@ MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
 _BLOCK_COLUMNS = 1 << 16  # columns per step of a row array or a superpose; 8 | it
+_OVERLAP_BYTES = 1 << 20  # shortest row whose I/O call runs on a worker thread
 
 
 class SizeLimitError(ValueError):
@@ -172,9 +182,7 @@ def build_codebook(n_stations: int) -> Codebook:
     bit-identical codebooks. A numpy integer is held as an int; a bool,
     a float or a str is refused.
     """
-    if isinstance(n_stations, bool) or not isinstance(n_stations, numbers.Integral):
-        raise ValueError(f"n_stations must be an integer, got {n_stations!r}")
-    n_stations = int(n_stations)
+    n_stations = _integer("n_stations", n_stations)
     if n_stations < 1:
         raise ValueError("n_stations must be >= 1")
     if n_stations > MAX_STATIONS:
@@ -200,6 +208,14 @@ def build_codebook(n_stations: int) -> Codebook:
     np.concatenate([lo_by_weight[w] for w in need], out=vals)
     vals |= np.repeat(hi_vals[keep] << lo_bits, counts)
     return Codebook._of_values(n_stations, n_rows, vals)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int: an int or a numpy integer is accepted, and any
+    other value, a bool included, raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _patterns(n_bits: int, dtype: np.dtype) -> np.ndarray:
@@ -260,22 +276,103 @@ def serialize_codebook(cb: Codebook) -> str:
     return str(out.getbuffer(), "ascii")
 
 
+class _RowIO:
+    """Two row buffers of `size` bytes and at most one pending I/O call.
+
+    `lines` holds each buffer with its view of all but the last byte.
+    `swap(call, line)` waits for the pending call, then hands call(line),
+    a stream's `write` or `readinto`, to a worker thread, which makes it
+    while the caller renders or folds a row in the other buffer; it
+    returns the result of the call it waited for, or raises its
+    exception, as `wait()` does. A row shorter than _OVERLAP_BYTES makes
+    its call inline, since handing it over costs more than such a call.
+    The worker lives for the `with` block; leaving it waits for a call
+    still pending, raises its exception unless another is already on its
+    way out, and joins the worker.
+    """
+
+    def __init__(self, size: int):
+        self.lines = [(line, line[:-1]) for line in
+                      (np.empty(size, np.uint8), np.empty(size, np.uint8))]
+        self._worker = None
+        if size >= _OVERLAP_BYTES:
+            self._worker = threading.Thread(target=self._serve)
+            self._posted = threading.Semaphore(0)
+            self._done = threading.Semaphore(0)
+        self._job = self._result = self._error = None
+        self._pending = False
+
+    def __enter__(self) -> "_RowIO":
+        if self._worker is not None:
+            self._worker.start()
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if self._worker is None:  # inline calls raise where they are made
+            return
+        try:
+            self._settle()
+        finally:
+            self._job = None
+            self._posted.release()
+            self._worker.join()
+        if exc_type is None:
+            self.wait()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            if self._job is None:
+                return
+            call, line = self._job
+            try:
+                self._result = call(line)
+            except BaseException as exc:  # raised again in the caller by wait()
+                self._error = exc
+            self._done.release()
+
+    def swap(self, call, line: np.ndarray):
+        if self._worker is None:
+            result, self._result = self._result, call(line)
+            return result
+        result = self.wait()
+        self._job, self._pending = (call, line), True
+        self._posted.release()
+        return result
+
+    def _settle(self) -> None:
+        if self._pending:
+            self._done.acquire()
+            self._pending = False
+
+    def wait(self):
+        self._settle()
+        if self._error is not None:
+            exc, self._error = self._error, None
+            raise exc
+        result, self._result = self._result, None
+        return result
+
+
 def _write_document(cb: Codebook, out) -> None:
     """Write the canonical document to the binary stream `out`: the header
-    line, then each row rendered into one reused buffer from the byte
-    plane of the column values that holds it, copied once per 8 rows."""
+    line, then each row rendered from the byte plane of the column values
+    that holds it, copied once per 8 rows. A row is rendered into one
+    buffer of a `_RowIO` while the other buffer's row is written."""
     out.write(f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
               f"R={cb.r_weight} V={cb.v_length}\n".encode("ascii"))
-    line = np.empty(cb.v_length + 1, np.uint8)
-    line[-1] = ord("\n")
-    chars = line[:-1]
-    for bit in range(cb.n_rows - 1, -1, -1):
-        if bit == cb.n_rows - 1 or bit % 8 == 7:
-            plane = _byte_plane(cb, bit)
-        np.right_shift(plane, bit % 8, out=chars)
-        np.bitwise_and(chars, 1, out=chars)
-        np.bitwise_or(chars, ord("0"), out=chars)
-        out.write(line)
+    write = out.write
+    with _RowIO(cb.v_length + 1) as io_:
+        for line, _ in io_.lines:
+            line[-1] = ord("\n")
+        for i, bit in enumerate(range(cb.n_rows - 1, -1, -1)):
+            if bit == cb.n_rows - 1 or bit % 8 == 7:
+                plane = _byte_plane(cb, bit)
+            line, chars = io_.lines[i % 2]
+            np.right_shift(plane, bit % 8, out=chars)
+            np.bitwise_and(chars, 1, out=chars)
+            np.bitwise_or(chars, ord("0"), out=chars)
+            io_.swap(write, line)
 
 
 def parse_codebook(doc: str) -> Codebook:
@@ -320,46 +417,60 @@ def _read_rows(fh) -> Codebook | None:
         n, n_rows, r, v = _header_fields(head[:-1].decode("ascii"))
     except ValueError:
         return None
-    vals = _fold(_read_lines(fh, v), n_rows, v)
+    lines = _read_lines(fh, v, n_rows)
+    try:
+        vals = _fold(lines, n_rows, v)
+    finally:
+        lines.close()  # no read pending and no worker after this
     if vals is None or fh.read(1):
         return None
     _check_values(vals, r)
     return Codebook._of_values(n, n_rows, vals)
 
 
-def _read_lines(fh, v: int):
-    """Yield the 0/1 bits of each line of fh, read into one reused
-    buffer, while it is v '0'/'1' characters and LF."""
-    line = np.empty(v + 1, np.uint8)
-    bits = line[:-1]
-    while fh.readinto(line) == v + 1 and line[-1] == ord("\n"):
-        # characters below '0' wrap round to large values
-        np.subtract(bits, ord("0"), out=bits)
-        if bits.max() > 1:
-            return
-        yield bits
+def _read_lines(fh, v: int, n_rows: int):
+    """Yield the 0/1 bits of each of the first n_rows lines of fh while
+    it is v '0'/'1' characters and LF. The next line is read into the
+    other buffer of a `_RowIO` while the caller folds this one; no read
+    goes past line n_rows."""
+    readinto = fh.readinto
+    with _RowIO(v + 1) as io_:
+        io_.swap(readinto, io_.lines[0][0])
+        for i in range(n_rows):
+            line, bits = io_.lines[i % 2]
+            got = (io_.swap(readinto, io_.lines[1 - i % 2][0])
+                   if i + 1 < n_rows else io_.wait())
+            if got != v + 1 or line[-1] != ord("\n"):
+                return
+            # characters below '0' wrap round to large values
+            np.subtract(bits, ord("0"), out=bits)
+            if bits.max() > 1:
+                return
+            yield bits
 
 
 def _fold(rows, n_rows: int, v: int) -> np.ndarray | None:
     """Column values of the first n_rows length-v 0/1 rows drawn from the
     iterator `rows`, row 1 as the MSB, or None if it runs out first.
 
-    Rows are assembled 8 at a time in a uint8 buffer (doubled by addition,
-    which numpy runs far faster than a uint8 shift) and only then shifted
-    into the wide values."""
+    The rows of each byte of the values are assembled in a uint8 buffer
+    (doubled by addition, which numpy runs far faster than a uint8 shift)
+    and written into that byte's plane of the values."""
     vals = np.zeros(v, _column_dtype(n_rows))
+    width = vals.itemsize
+    planes = vals.view(np.uint8)
     byte = np.empty(v, np.uint8)
-    for first in range(0, n_rows, 8):
-        group = min(8, n_rows - first)
-        byte[:] = 0
-        for _ in range(group):
+    for plane in range((n_rows - 1) // 8, -1, -1):
+        for k in range(min(8, n_rows - 8 * plane)):
             row = next(rows, None)
             if row is None:
                 return None
-            np.add(byte, byte, out=byte)
-            np.bitwise_or(byte, row, out=byte)
-        np.left_shift(vals, group, out=vals)
-        np.bitwise_or(vals, byte, out=vals)
+            if k:
+                np.add(byte, byte, out=byte)
+                np.bitwise_or(byte, row, out=byte)
+            else:
+                np.copyto(byte, row)
+        planes[plane if np.little_endian else width - 1 - plane::width] = byte
     return vals
 
 

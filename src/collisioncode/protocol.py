@@ -23,13 +23,12 @@ and its arrays are read-only, so sharing it changes no output.
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, decoder
-from .codebook import Codebook, SizeLimitError, build_codebook
+from .codebook import Codebook, SizeLimitError, _integer, build_codebook
 
 # rounds of one session: bounds the per_round record and, since a round
 # superposes V chips, keeps a session's chips within the verifier's claims
@@ -47,11 +46,8 @@ class SessionConfig:
 
     def __post_init__(self):
         for name in ("n_stations", "max_rounds", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
             # held as an int, so a numpy integer's session prints as JSON
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_stations < 1:
             raise ValueError("n_stations must be >= 1")
         if not 0.0 <= self.loss_prob <= 1.0:

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import _subsets
 from ._subsets import _chip_sums, _membership, _signed, mask_to_ids
-from .codebook import Codebook, SizeLimitError
+from .codebook import Codebook, SizeLimitError, _integer
 
 UNIQUENESS_BUDGET_ROWS = 15  # rows of every enumeration
 _TILE_COLUMNS = 64  # columns per tile: one uint64 word of demodulated bits
@@ -254,8 +254,10 @@ def check_additivity(cb: Codebook, trials: int = 1000, seed: int = 0) -> Additiv
     2^24. Trials are drawn and checked _DRAW_TRIALS at a time, which reads
     the same stream as one draw, so memory does not grow with `trials`.
     A run of more than _CLAIMS_BUDGET_CHIPS (trials times V) is refused,
-    and so is a negative seed, both before any draw.
+    and so is a negative seed, both before any draw. `trials` and `seed`
+    must be integers; a numpy integer is held as an int.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:

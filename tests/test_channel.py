@@ -268,6 +268,20 @@ class TestNoisyChannel:
         with pytest.raises(ValueError):
             cc.superpose_noisy(cb, {1}, 0.1, -1)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, 1.5, "1", None])
+    def test_refuses_seeds_that_are_not_integers(self, bad):
+        """A bool is not taken as seed 1, and a float or str is a
+        ValueError, not a TypeError."""
+        message = f"seed must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.superpose_noisy(cached_codebook(3), {1}, 0.1, bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32, np.uint8])
+    def test_accepts_numpy_integer_seeds(self, kind):
+        cb = cached_codebook(5)
+        assert np.array_equal(cc.superpose_noisy(cb, {1, 4}, 0.3, kind(7)),
+                              cc.superpose_noisy(cb, {1, 4}, 0.3, 7))
+
     @pytest.mark.parametrize("sigma", [-1e-300, -1.0, float("nan"),
                                        float("inf"), float("-inf")])
     def test_rejects_sigma_not_finite_and_nonnegative(self, sigma):

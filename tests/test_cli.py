@@ -435,6 +435,152 @@ class TestRowStreaming:
                     cli._load_codebook, p)) == self.expected(n, kind, data), kind
 
 
+def count_workers(monkeypatch) -> list:
+    """Lower the floor so that every row's I/O call runs on the worker
+    thread; the returned list gains an entry per worker started."""
+    monkeypatch.setattr(codebook, "_OVERLAP_BYTES", 1)
+    started, serve = [], codebook._RowIO._serve
+
+    def counted(self):
+        started.append(self)
+        serve(self)
+    monkeypatch.setattr(codebook._RowIO, "_serve", counted)
+    return started
+
+
+class TestWorkerIO:
+    """Rows read and written on the worker thread: the same documents and
+    the same outcomes as the inline calls, with no thread left behind."""
+
+    @staticmethod
+    def load(source, tmp_path, monkeypatch, data):
+        path = tmp_path / "cb.txt"
+        path.write_bytes(data)
+        if source == "file":
+            return TestBytesLoader.outcome(cli._load_codebook, str(path))
+        if source == "stdin":
+            with open(path, "rb") as fh:
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(fh))
+                return TestBytesLoader.outcome(cli._load_codebook, "-")
+        if source == "pipe":
+            return TestLoaderSources.through_fifo(
+                tmp_path, data, lambda p: TestBytesLoader.outcome(
+                    cli._load_codebook, p))
+        return TestBytesLoader.text_outcome(data)  # through parse_codebook
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("source", ["file", "stdin", "pipe",
+                                        "parse_codebook"])
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_reads_match_oracle(self, tmp_path, monkeypatch, n, source):
+        started = count_workers(monkeypatch)
+        threads = threading.active_count()
+        for kind, data in TestRowStreaming.documents(n).items():
+            del started[:]
+            got = self.load(source, tmp_path, monkeypatch, data)
+            assert got == TestRowStreaming.expected(n, kind, data), kind
+            assert threading.active_count() == threads, kind
+            # a non-ASCII document is no str for parse_codebook
+            assert started or (source == "parse_codebook"
+                               and kind.startswith("high byte")), kind
+
+    @pytest.mark.parametrize("n", [1, 9, 17])
+    def test_writes_match_inline(self, capsys, tmp_path, monkeypatch, n):
+        path = tmp_path / "cb.txt"
+        inline = cc.serialize_codebook(cached_codebook(n))
+        started = count_workers(monkeypatch)
+        threads = threading.active_count()
+        assert cc.serialize_codebook(cached_codebook(n)) == inline
+        assert run(capsys, ["gen", "--n", str(n)]) == (0, inline, "")
+        assert run(capsys, ["gen", "--n", str(n), "--out", str(path)]) == (
+            0, "", "")
+        assert path.read_text() == inline
+        assert len(started) == 3
+        assert threading.active_count() == threads
+
+
+class FailingStream(io.BytesIO):
+    """A stream whose `method` raises `error` at its `at`-th call."""
+
+    def __init__(self, data, method, at, error):
+        super().__init__(data)
+        self.calls, self.method, self.at, self.error = 0, method, at, error
+
+    def _count(self, name):
+        if name == self.method:
+            self.calls += 1
+            if self.calls == self.at:
+                raise self.error
+
+    def write(self, b):
+        self._count("write")
+        return super().write(b)
+
+    def readinto(self, b):
+        self._count("readinto")
+        return super().readinto(b)
+
+
+class TestWorkerFailures:
+    """An I/O call that raises raises the same exception from the library
+    call, on the worker thread or inline, and leaves no thread behind."""
+
+    @pytest.mark.parametrize("worker", [True, False])
+    @pytest.mark.parametrize("row", [3, 9])  # 9: the last, still pending
+    def test_write_raises(self, monkeypatch, worker, row):
+        if worker:
+            count_workers(monkeypatch)
+        error = OSError(28, "No space left on device")
+        out = FailingStream(b"", "write", 1 + row, error)  # the header first
+        threads = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            codebook._write_document(cached_codebook(9), out)
+        assert raised.value is error
+        assert threading.active_count() == threads
+        assert out.calls == 1 + row  # no row written after the failure
+
+    @pytest.mark.parametrize("worker", [True, False])
+    @pytest.mark.parametrize("bad_row", [None, 2])
+    def test_read_raises(self, monkeypatch, worker, bad_row):
+        """Row 3's read fails; with a bad character in row 2 it is the
+        read ahead, still pending when row 2 is refused."""
+        if worker:
+            count_workers(monkeypatch)
+        error = OSError(5, "Input/output error")
+        data = cc.serialize_codebook(cached_codebook(9)).encode()
+        if bad_row:
+            v = cached_codebook(9).v_length
+            pos = data.index(b"\n") + 1 + (bad_row - 1) * (v + 1)
+            data = data[:pos] + b"x" + data[pos + 1:]
+        fh = FailingStream(data, "readinto", 3, error)
+        threads = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            codebook._read_codebook(fh)
+        assert raised.value is error
+        assert threading.active_count() == threads
+        assert fh.calls == 3
+
+    @pytest.mark.parametrize("extra", [b"", b"0"])
+    def test_worker_joined_before_the_trailing_byte_check(self, monkeypatch,
+                                                          extra):
+        counts, threads = [], threading.active_count()
+
+        class Counting(io.BytesIO):
+            def read(self, size=-1):
+                counts.append(threading.active_count())
+                return super().read(size)
+        count_workers(monkeypatch)
+        data = cc.serialize_codebook(cached_codebook(9)).encode() + extra
+        TestBytesLoader.outcome(codebook._read_codebook, Counting(data))
+        assert counts and set(counts) == {threads}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_gen_to_a_full_device(self, capsys):
+        assert run(capsys, ["gen", "--n", "25", "--out", "/dev/full"]) == (
+            2, "", "error: [Errno 28] No space left on device\n")
+
+
 class TestSuperpose:
     def test_ideal_profile(self, capsys, cb3_path):
         code, out, _ = run(capsys, ["superpose", "--codebook", cb3_path,

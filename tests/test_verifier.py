@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -79,6 +80,23 @@ class TestAdditivity:
         with pytest.raises(ValueError,
                            match="^seed must be a non-negative integer$"):
             cc.check_additivity(cached_codebook(3), 10, -1)
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, 1.5, "1", None])
+    def test_refuses_arguments_that_are_not_integers(self, field, bad):
+        """A bool is not run as 1 trial (and reported as `true`), and a
+        float or str is a ValueError, not a TypeError."""
+        args = {"trials": 10, "seed": 1} | {field: bad}
+        message = f"{field} must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.check_additivity(cached_codebook(3), **args)
+
+    def test_numpy_integers_are_held_as_ints(self):
+        report = cc.check_additivity(cached_codebook(5), np.int64(20),
+                                     np.uint8(3))
+        assert report == cc.check_additivity(cached_codebook(5), 20, 3)
+        assert json.dumps(report.to_json_dict()) == json.dumps(
+            cc.check_additivity(cached_codebook(5), 20, 3).to_json_dict())
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_draws_match_oracle(self, n, monkeypatch):
