@@ -238,7 +238,9 @@ def _byte_plane(cb: Codebook, bit: int, cols=slice(None)) -> np.ndarray:
 
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
     """Length-V codeword the given station transmits as its ACK payload,
-    as a read-only 0/1 vector."""
+    as a read-only 0/1 vector. The station must be an integer (a numpy
+    integer is held as an int); any other value raises ValueError."""
+    station = _integer("station", station)
     if not 1 <= station <= cb.n_stations:
         raise ValueError(f"station {station} out of range 1..{cb.n_stations}")
     bit = cb.n_rows - station

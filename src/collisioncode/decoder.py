@@ -21,21 +21,32 @@ is a no-match. The cost is one pass over the packed station rows plus one
 superposition, O(n * V), with no per-codebook state.
 
 Nearest-match decoding ranks the stations by the same correlation (ties
-by station id) and measures the distance from y to the top-k set for
+by station id). By the same symmetry the distance between demod(S) and
+demod(T) depends only on the overlap class (|S - T|, |T - S|, |S & T|),
+so every non-empty T other than S lies at least r_k from S, where r_k
+is the least class distance for |S| = k (see _classes). A set S at
+distance d from y with 2 d < r_k is therefore certified: every other T
+has d(y, T) >= r_k - d > d, so S is the unique nearest subset.
+
+The first candidate is the gap set: the stations ranked above the
+widest drop between neighbouring correlations (the first such drop; all
+n stations when n = 1), measured by one superposition. Noise leaves the
+members' correlations near A_k and the others' near B_k, so the widest
+drop usually falls at the transmitting set's size. When the gap set is
+certified it is returned. It is then also what the scan below would
+return: it is a top-k set, the unique nearest of all subsets, and it
+passes the same certificate.
+
+Otherwise the decoder measures the distance from y to the top-k set for
 every k = 1..n in one pass over blocks of the packed rows: each block is
 unpacked in correlation order, turned into prefix counts by adding each
 row to the next, and compared with every k's majority threshold at once,
 and the packed results are XOR'd with the packed y: O(n * V) in all, with
-no unpacked matrix. The best of these (the smallest k on a tie),
-S* at distance d*, is the candidate. By the same symmetry the distance
-between demod(S) and demod(T) depends only on the overlap class
-(|S - T|, |T - S|, |S & T|), so every non-empty T other than S* lies at
-least r_k from S*, where r_k is the least class distance for |S*| = k
-(see _classes). When 2 d* < r_k, every such T is farther than d* from y
-and S* is the unique nearest subset: certified without a search.
-Otherwise the triangle inequality puts every T within d* of y inside
-the classes within 2 d* of S*, and the decoder searches exactly those,
-so the result is the one a scan of all 2^n subsets would give. The
+no unpacked matrix. The best of these (the smallest k on a tie), S* at
+distance d*, is certified as above when 2 d* < r_k. Otherwise the
+triangle inequality puts every T within d* of y inside the classes
+within 2 d* of S*, and the decoder searches exactly those, so the
+result is the one a scan of all 2^n subsets would give. The
 search is sized from the class counts before it starts: one that would
 cover more than NEAREST_BUDGET_CHIPS chips (subsets times V, the work of
 a full scan at 17 stations) raises SizeLimitError. No input at n <= 17
@@ -52,7 +63,7 @@ import numpy as np
 from . import _classes
 from .channel import demodulate, superpose
 from .codebook import (_BLOCK_COLUMNS, MAX_STATIONS, Codebook,
-                       SizeLimitError, _byte_plane)
+                       SizeLimitError, _byte_plane, _integer)
 
 # the chips of the largest search the old 2^n scan ran: every subset at 17
 # stations, so no input at n <= 17 is refused
@@ -122,24 +133,44 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     a no-match (a detected failure beats a guessed ACK set). An all-zero
     input is silence regardless of max_dist. Near-zero nonzero inputs are
     matched against subset vectors only, since silence is defined by the
-    exact all-zero vector. An input whose exact search would cover more
-    than NEAREST_BUDGET_CHIPS subset chips raises SizeLimitError before
-    the search starts.
+    exact all-zero vector. max_dist must be a non-negative integer (a
+    numpy integer is held as an int); any other value raises ValueError.
+
+    The gap set (the stations above the widest drop in the ranked
+    correlations), at distance d, is returned when 2 d < r_k, the least
+    distance from its vector to any other subset's: every other subset
+    is then at least r_k - d > d away, so a scan of every top-k set
+    would pick the same set at the same distance. Only when that
+    certificate fails are all n top-k sets scanned and, if their best is
+    not certified either, the overlap classes searched from the scan's
+    best. An input whose exact search would cover more than
+    NEAREST_BUDGET_CHIPS subset chips raises SizeLimitError before the
+    search starts.
     """
+    max_dist = _integer("max_dist", max_dist)
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
     packed_bits = np.packbits(bits)
-    order = np.argsort(-_correlation(cb, packed_bits), kind="stable")
-    dist = _top_k_distances(cb, order, packed_bits)
-    best_k = int(dist.argmin()) + 1  # the first minimum: ties to smaller k
-    best = int(dist[best_k - 1])
-    members = sorted(order[:best_k].tolist())
+    corr = _correlation(cb, packed_bits)
+    order = np.argsort(-corr, kind="stable")
+    # the gap set: the stations ranked above the first widest drop in
+    # correlation, or the one station when n = 1
+    drops = -np.diff(corr[order])
+    gap_k = int(drops.argmax()) + 1 if drops.size else 1
+    members = sorted(order[:gap_k].tolist())
+    best = int(np.count_nonzero(
+        demodulate(superpose(cb, [i + 1 for i in members])) != bits))
     ties = 1
-    if 2 * best >= _classes.radius(cb.n_stations, best_k):
-        best, members, ties = _nearest_by_class(cb, bits, members, best)
+    if 2 * best >= _classes.radius(cb.n_stations, gap_k):
+        dist = _top_k_distances(cb, order, packed_bits)
+        best_k = int(dist.argmin()) + 1  # the first minimum: ties to smaller k
+        best = int(dist[best_k - 1])
+        members = sorted(order[:best_k].tolist())
+        if 2 * best >= _classes.radius(cb.n_stations, best_k):
+            best, members, ties = _nearest_by_class(cb, bits, members, best)
     if best > max_dist or ties > 1:
         return DecodeOutcome(NOMATCH, None, best)
     return DecodeOutcome(IDENTIFIED, frozenset(i + 1 for i in members), best)

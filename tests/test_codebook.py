@@ -178,10 +178,26 @@ class TestCodewordAccess:
         cb = cached_codebook(5)
         assert np.array_equal(cc.codeword_for(cb, 2), cc.codeword_for(cb, 2))
 
-    @pytest.mark.parametrize("station", [0, -1, 4])
+    @pytest.mark.parametrize("station", [0, -1, 4, np.int64(4)])
     def test_out_of_range(self, station):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=f"^station {station} out of range 1..3$"):
             cc.codeword_for(cached_codebook(3), station)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.0, np.float64(2),
+                                     "2", None])
+    def test_refuses_stations_that_are_not_integers(self, bad):
+        """True is not station 1, and 2.0 is a ValueError, not a slicing
+        TypeError."""
+        message = f"station must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.codeword_for(cached_codebook(3), bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    def test_numpy_integer_stations(self, kind):
+        cb = cached_codebook(3)
+        assert np.array_equal(cc.codeword_for(cb, kind(2)),
+                              cc.codeword_for(cb, 2))
 
 
 class TestTextFormat:

@@ -1,8 +1,10 @@
 """Exact and nearest-match inversion of received bitstreams."""
 
 import functools
+import hashlib
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -334,8 +336,29 @@ class TestDecodeNearest:
             assert nearest.stations == exact.stations
 
     def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            cc.decode_nearest(cached_codebook(3), cc.str_to_bits("110"), -1)
+        for bound in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="^max_dist must be >= 0$"):
+                cc.decode_nearest(cached_codebook(3), cc.str_to_bits("110"),
+                                  bound)
+
+    @pytest.mark.parametrize("bad", [math.nan, True, np.True_, 2.5, 3.0,
+                                     np.float64(3), None, "3"])
+    def test_refuses_bounds_that_are_not_integers(self, bad):
+        """A NaN would accept every distance and True would be a bound of
+        1; a float, None or a str is a ValueError, not a TypeError."""
+        message = f"max_dist must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.decode_nearest(cached_codebook(3), cc.str_to_bits("110"), bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int8])
+    def test_numpy_integer_bounds_are_held_as_ints(self, kind):
+        cb = cached_codebook(5)
+        reach = oracles.reachable_map(5)
+        base = reach[(1, 2)]
+        corrupted = cc.str_to_bits(("1" if base[0] == "0" else "0") + base[1:])
+        for bound in (0, 1):
+            assert cc.decode_nearest(cb, corrupted, kind(bound)) == \
+                cc.decode_nearest(cb, corrupted, bound)
 
     def test_refused_over_chip_budget(self):
         # a uniform vector is far from every subset, so the exact search
@@ -397,14 +420,25 @@ class TestNearestAgainstScan:
 
     @pytest.mark.parametrize("n", range(6, 14))
     def test_seeded_sweep(self, n, monkeypatch):
-        searches = []
+        """Every outcome equals the scan's, and each tier runs: the gap
+        set certified, the top-k scan and the class search."""
+        searches, scans, decodes = [], [], []
 
         def counted(*args):
             searches.append(args)
             return search(*args)
 
-        search = decoder._nearest_by_class
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def nearest(received, max_dist):
+            decodes.append(max_dist)
+            return cc.decode_nearest(cb, received, max_dist)
+
+        search, scan = decoder._nearest_by_class, decoder._top_k_distances
         monkeypatch.setattr(decoder, "_nearest_by_class", counted)
+        monkeypatch.setattr(decoder, "_top_k_distances", counted_scan)
         cb = cached_codebook(n)
         v = cb.v_length
         rng = np.random.default_rng(600 + n)
@@ -431,17 +465,19 @@ class TestNearestAgainstScan:
                 diff = np.flatnonzero(received != other)
                 received[diff[:diff.size // 2]] ^= 1
             vectors.append(received)
+        assert all(received.any() for received in vectors)  # no silence
         kinds = set()
         for received in vectors:
             expect = scan_nearest(cb, received, v)
-            assert cc.decode_nearest(cb, received, v) == expect
+            assert nearest(received, v) == expect
             kinds.add(expect.kind)
             d = expect.distance
             for max_dist in {d, d - 1} - {-1}:
-                assert cc.decode_nearest(cb, received, max_dist) == \
+                assert nearest(received, max_dist) == \
                     scan_nearest(cb, received, max_dist), max_dist
         assert kinds == {cc.IDENTIFIED, cc.NOMATCH}  # nomatch here is a tie
         assert 0 < len(searches) < 3 * len(vectors)
+        assert 0 < len(scans) < len(decodes)
 
     def test_low_noise_needs_no_search(self, monkeypatch):
         def no_search(*args):
@@ -455,6 +491,96 @@ class TestNearestAgainstScan:
             received = noisy_vector(cb, subset, 0.3, seed)
             assert cc.decode_nearest(cb, received, 200) == scan_nearest(
                 cb, received, 200)
+
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        """Fail any call of the top-k scan, which every later tier needs."""
+        def scanned(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(decoder, "_top_k_distances", scanned)
+
+    @pytest.mark.parametrize("n", [13, 15])
+    @pytest.mark.parametrize("sigma", [0.3, 0.5])
+    def test_moderate_noise_needs_no_scan(self, n, sigma, no_scan):
+        """The gap set is the sent set and is certified, so neither the
+        top-k scan nor the class search runs."""
+        cb = cached_codebook(n)
+        rng = np.random.default_rng([n, round(10 * sigma)])
+        for seed in range(32):
+            mask = int(rng.integers(1, 1 << n))
+            subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+            received = noisy_vector(cb, subset, sigma, seed)
+            flips = int(np.count_nonzero(
+                received != cc.demodulate(cc.superpose(cb, subset))))
+            assert cc.decode_nearest(cb, received, cb.v_length) == \
+                cc.DecodeOutcome(cc.IDENTIFIED, subset, flips)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 13])
+    def test_all_stations_sending(self, n):
+        """Every station sends: on the clean vector all n correlations
+        sit at one level, so there is no drop at k = n and the scan finds
+        the set; under noise the outcome is still the scan's."""
+        cb = cached_codebook(n)
+        everyone = frozenset(range(1, n + 1))
+        clean = cc.demodulate(cc.superpose(cb, everyone))
+        assert cc.decode_nearest(cb, clean, 0) == cc.DecodeOutcome(
+            cc.IDENTIFIED, everyone, 0)
+        for seed in range(8):
+            received = noisy_vector(cb, everyone, 0.5, seed)
+            for max_dist in (0, cb.v_length):
+                assert cc.decode_nearest(cb, received, max_dist) == \
+                    scan_nearest(cb, received, max_dist)
+
+    def test_one_station_needs_no_scan(self, no_scan):
+        """With one station there is no drop: the gap set is that station,
+        and with no other subset it is certified."""
+        cb = cached_codebook(1)
+        assert cc.decode_nearest(cb, np.array([1]), 0) == cc.DecodeOutcome(
+            cc.IDENTIFIED, frozenset({1}), 0)
+        assert cc.decode_nearest(cb, np.array([0]), 0) == cc.DecodeOutcome(
+            cc.SILENCE, None, 0)
+
+    def test_tied_drops_go_to_the_smaller_k(self, no_scan, monkeypatch):
+        """Ranked correlations 10, 10, 5, 5, 0 drop by 5 after 2 and after
+        4 stations: the gap set is the first two, which sent, so it is
+        certified; the first four would not be."""
+        monkeypatch.setattr(decoder, "_correlation", lambda cb, packed_bits:
+                            np.array([10, 10, 5, 5, 0], np.int32))
+        cb = cached_codebook(5)
+        received = cc.demodulate(cc.superpose(cb, {1, 2}))
+        assert cc.decode_nearest(cb, received, 0) == cc.DecodeOutcome(
+            cc.IDENTIFIED, frozenset({1, 2}), 0)
+
+
+def seeded_outcomes():
+    """One line per decode_nearest outcome on a seeded corpus: 16 noisy
+    vectors of random subsets for each n <= 15 and sigma in {0.3, 0.7,
+    1.0}, each decoded unbounded and at a random max_dist."""
+    for n in range(1, 16):
+        cb = cached_codebook(n)
+        for sigma in (0.3, 0.7, 1.0):
+            rng = np.random.default_rng([n, round(10 * sigma)])
+            for i in range(16):
+                mask = int(rng.integers(1, 1 << n))
+                subset = [s + 1 for s in range(n) if mask >> s & 1]
+                received = noisy_vector(cb, subset, sigma,
+                                        int(rng.integers(1 << 32)))
+                for max_dist in (cb.v_length,
+                                 int(rng.integers(0, cb.v_length // 8 + 1))):
+                    out = cc.decode_nearest(cb, received, max_dist)
+                    stations = sorted(out.stations) if out.stations else None
+                    yield (f"{n} {sigma} {i} {max_dist} {out.kind} {stations} "
+                           f"{out.distance}")
+
+
+def test_seeded_outcomes_are_frozen():
+    """The outcomes equal those of the decoder that scanned every top-k set
+    before any certificate, digested from that decoder's run."""
+    digest = hashlib.sha256("\n".join(seeded_outcomes()).encode()).hexdigest()
+    assert digest == ("d504aae8f0fd5bcd3df2b480c74ed6bc"
+                      "323031497e402c1331bf89744caa555c")
 
 
 class TestTopKScan:

@@ -4,7 +4,10 @@ exact `decode` and `verify --check claims` each run as a child process
 whose peak RSS stays within PEAK_RSS_MB, `decode --nearest` of a vector
 that reaches the class search and `simulate` on the ideal and the noisy
 channel within NEAREST_PEAK_RSS_MB, and the refusal of a corrupted
-codebook file within REFUSAL_PEAK_RSS_MB. No timing bound is set.
+codebook file within REFUSAL_PEAK_RSS_MB. Inputs over a size budget
+(`gen --n 26`, `simulate --rounds 1001`, `verify` over the claims budget
+and `decode --nearest` of a uniform vector at 18 stations) each exit 2
+with an empty stdout within PEAK_RSS_MB. No timing bound is set.
 
 Each command is spawned by a fresh launcher interpreter that reports the
 child's peak from RUSAGE_CHILDREN. Linux carries a process's pre-exec
@@ -218,3 +221,41 @@ def test_simulate(work, sigma, rounds):
     assert stats["rounds_used"] == len(stats["per_round"]) <= rounds
     if sigma is None:
         assert stats["completed"] and stats["undecodable_rounds"] == 0
+
+
+@pytest.fixture(scope="module")
+def uniform18(work):
+    """An 18-station codebook file and a uniform vector, far from every
+    subset, whose exact nearest search would cover all 2^18 of them."""
+    path, vector = work / "cb18.txt", work / "uniform18.txt"
+    assert run_cli(os.devnull, "gen", "--n", 18, "--out", path)[0] == 0
+    v = math.comb(19, 10)
+    vector.write_text(cc.bits_to_str(
+        np.random.default_rng(18).integers(0, 2, v).astype(np.uint8)))
+    return path, vector
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", 26], "n_stations=26 exceeds the cap of 25 (codeword "
+                         "length grows as C(rows, (rows+1)/2))"),
+    (["simulate", "--n", 25, "--loss", 0.3, "--rounds", 1001, "--seed", 1],
+     "max_rounds=1001 exceeds the round budget of 1000"),
+    (["verify", "--n", 25, "--check", "claims", "--trials", 1001],
+     f"1001 trials of {V25} chips exceed the claims budget of "
+     f"{1000 * V25} chips"),
+    (["decode", "--nearest"], f"exceeds the nearest-decode budget of "
+                              f"{cc.NEAREST_BUDGET_CHIPS} chips"),
+], ids=["gen over the cap", "simulate over the round budget",
+        "verify over the claims budget", "nearest over the chip budget"])
+def test_refused_over_budget(work, uniform18, argv, message):
+    """An input over a size budget is refused: exit 2, nothing on stdout
+    and the budget's message, within PEAK_RSS_MB."""
+    if argv[0] == "decode":
+        argv = [*argv, "--codebook", uniform18[0],
+                "--vector-file", uniform18[1]]
+    out, err = work / "over.out", work / "over.err"
+    code, peak = run_cli(out, *argv, stderr=err)
+    assert code == 2 and peak <= PEAK_RSS_MB, peak
+    assert out.read_bytes() == b""
+    error = err.read_text()
+    assert error.startswith("error: ") and error.endswith(f"{message}\n")
