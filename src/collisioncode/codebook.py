@@ -272,10 +272,29 @@ def _check_bit_chars(chars: bytes) -> None:
 
 
 def serialize_codebook(cb: Codebook) -> str:
-    """Canonical text form; the same codebook always yields identical bytes."""
-    out = io.BytesIO()
+    """Canonical text form; the same codebook always yields identical bytes.
+
+    The document is written into one array of its exact length, sized at
+    the header line for the ROWS rows of V characters and LF that follow,
+    so it is never regrown as the rows arrive."""
+    out = _SizedDocument(cb.n_rows * (cb.v_length + 1))
     _write_document(cb, out)
-    return str(out.getbuffer(), "ascii")
+    return str(out.doc, "ascii")
+
+
+class _SizedDocument:
+    """A binary stream into one array, allocated at the first write (the
+    header line) with room for `rest` more bytes."""
+
+    def __init__(self, rest: int):
+        self._rest, self._end, self.doc = rest, 0, None
+
+    def write(self, chunk) -> None:
+        if self.doc is None:
+            self.doc = np.empty(len(chunk) + self._rest, np.uint8)
+        end = self._end + len(chunk)
+        self.doc[self._end:end] = np.frombuffer(chunk, np.uint8)
+        self._end = end
 
 
 class _RowIO:

@@ -14,11 +14,14 @@ for every member i of S, and the same number B_k for every non-member:
 A_k > B_k for every supported size and every 1 <= k < n (the tests check
 this in exact integers up to MAX_STATIONS), and for k = n there are no
 non-members, so the stations of maximal correlation are
-exactly S. The decoder takes that candidate set and re-encodes it through
+exactly S. The decoder takes that candidate set and checks it against
 the channel's majority rule: a match identifies the unique preimage, and
 a vector with no preimage can never re-encode to itself, so a mismatch
-is a no-match. The cost is one pass over the packed station rows plus one
-superposition, O(n * V), with no per-codebook state.
+is a no-match. A column's ones among S are the set bits of its value
+under S's mask, so the check counts, a block of columns at a time, the
+chips where that count's majority differs from y, with no amplitude
+sums. The cost is one pass over the packed station rows plus one count
+over the column values, O(n * V), with no per-codebook state.
 
 Nearest-match decoding ranks the stations by the same correlation (ties
 by station id). By the same symmetry the distance between demod(S) and
@@ -30,12 +33,14 @@ has d(y, T) >= r_k - d > d, so S is the unique nearest subset.
 
 The first candidate is the gap set: the stations ranked above the
 widest drop between neighbouring correlations (the first such drop; all
-n stations when n = 1), measured by one superposition. Noise leaves the
-members' correlations near A_k and the others' near B_k, so the widest
-drop usually falls at the transmitting set's size. When the gap set is
-certified it is returned. It is then also what the scan below would
-return: it is a top-k set, the unique nearest of all subsets, and it
-passes the same certificate.
+n stations when n = 1), measured by the same count over the column
+values as an exact decode. Noise leaves the members' correlations near
+A_k and the others' near B_k, so the widest drop usually falls at the
+transmitting set's size. When all n stations send there are no others,
+so the drop falls anywhere; the second candidate is therefore all n
+stations, measured the same way. A certified candidate is returned. It
+is then also what the scan below would return: it is a top-k set, the
+unique nearest of all subsets, and it passes the same certificate.
 
 Otherwise the decoder measures the distance from y to the top-k set for
 every k = 1..n in one pass over blocks of the packed rows: each block is
@@ -61,7 +66,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _classes
-from .channel import demodulate, superpose
 from .codebook import (_BLOCK_COLUMNS, MAX_STATIONS, Codebook,
                        SizeLimitError, _byte_plane, _integer)
 
@@ -119,10 +123,31 @@ def decode_exact(cb: Codebook, received) -> DecodeOutcome:
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
     corr = _correlation(cb, np.packbits(bits))
-    stations = frozenset((np.flatnonzero(corr == corr.max()) + 1).tolist())
-    if not np.array_equal(demodulate(superpose(cb, stations)), bits):
+    members = np.flatnonzero(corr == corr.max()).tolist()
+    if _mismatches(cb, members, bits):
         return DecodeOutcome(NOMATCH)
-    return DecodeOutcome(IDENTIFIED, stations, 0)
+    return DecodeOutcome(IDENTIFIED, frozenset(i + 1 for i in members), 0)
+
+
+def _mismatches(cb: Codebook, members: list[int], bits: np.ndarray) -> int:
+    """Chips where demod of the stations `members` (0-based) differs from
+    the 0/1 uint8 `bits`.
+
+    A column demodulates to 1 when more than half of the members hold a
+    1 in it: when its value under the members' mask has at least
+    len(members) // 2 + 1 set bits. That is counted _BLOCK_COLUMNS
+    columns at a time, so no temporary grows with V. The mask is a
+    uint32, so narrower values are widened to it: numpy counts the bits
+    of uint32 faster than of uint16."""
+    mask = np.uint32(sum(1 << (cb.n_rows - 1 - i) for i in members))
+    need = len(members) // 2 + 1
+    chips = bits.view(bool)
+    miss = 0
+    for c0 in range(0, cb.v_length, _BLOCK_COLUMNS):
+        held = cb.vals[c0:c0 + _BLOCK_COLUMNS] & mask
+        miss += np.count_nonzero(
+            (np.bitwise_count(held) >= need) != chips[c0:c0 + _BLOCK_COLUMNS])
+    return int(miss)
 
 
 def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
@@ -140,9 +165,12 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     correlations), at distance d, is returned when 2 d < r_k, the least
     distance from its vector to any other subset's: every other subset
     is then at least r_k - d > d away, so a scan of every top-k set
-    would pick the same set at the same distance. Only when that
-    certificate fails are all n top-k sets scanned and, if their best is
-    not certified either, the overlap classes searched from the scan's
+    would pick the same set at the same distance. Failing that, all n
+    stations are measured and returned under the same certificate, the
+    case where every station sends. Each distance is counted from the
+    column values, with no superposition. Only when both certificates
+    fail are all n top-k sets scanned and, if their best is not
+    certified either, the overlap classes searched from the scan's
     best. An input whose exact search would cover more than
     NEAREST_BUDGET_CHIPS subset chips raises SizeLimitError before the
     search starts.
@@ -153,23 +181,27 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     bits = _check_bits(cb, received)
     if not bits.any():
         return DecodeOutcome(SILENCE, None, 0)
+    n = cb.n_stations
     packed_bits = np.packbits(bits)
     corr = _correlation(cb, packed_bits)
     order = np.argsort(-corr, kind="stable")
     # the gap set: the stations ranked above the first widest drop in
     # correlation, or the one station when n = 1
-    drops = -np.diff(corr[order])
-    gap_k = int(drops.argmax()) + 1 if drops.size else 1
-    members = sorted(order[:gap_k].tolist())
-    best = int(np.count_nonzero(
-        demodulate(superpose(cb, [i + 1 for i in members])) != bits))
+    ranked = corr[order]
+    k = int((ranked[:-1] - ranked[1:]).argmax()) + 1 if n > 1 else 1
+    members = sorted(order[:k].tolist())
+    best = _mismatches(cb, members, bits)
+    if 2 * best >= _classes.radius(n, k) and k < n:
+        # all n stations: when every one sends, no drop sets them apart
+        k, members = n, list(range(n))
+        best = _mismatches(cb, members, bits)
     ties = 1
-    if 2 * best >= _classes.radius(cb.n_stations, gap_k):
+    if 2 * best >= _classes.radius(n, k):
         dist = _top_k_distances(cb, order, packed_bits)
         best_k = int(dist.argmin()) + 1  # the first minimum: ties to smaller k
         best = int(dist[best_k - 1])
         members = sorted(order[:best_k].tolist())
-        if 2 * best >= _classes.radius(cb.n_stations, best_k):
+        if 2 * best >= _classes.radius(n, best_k):
             best, members, ties = _nearest_by_class(cb, bits, members, best)
     if best > max_dist or ties > 1:
         return DecodeOutcome(NOMATCH, None, best)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode import decoder
+from collisioncode import _classes, channel, decoder
 from collisioncode._subsets import demod_blocks, mask_to_ids
 from conftest import cached_codebook, load_golden
 import oracles
@@ -520,8 +520,9 @@ class TestNearestAgainstScan:
     @pytest.mark.parametrize("n", [2, 5, 9, 13])
     def test_all_stations_sending(self, n):
         """Every station sends: on the clean vector all n correlations
-        sit at one level, so there is no drop at k = n and the scan finds
-        the set; under noise the outcome is still the scan's."""
+        sit at one level, so there is no drop at k = n and the set is
+        found as the second candidate; under noise the outcome is still
+        the scan's."""
         cb = cached_codebook(n)
         everyone = frozenset(range(1, n + 1))
         clean = cc.demodulate(cc.superpose(cb, everyone))
@@ -532,6 +533,54 @@ class TestNearestAgainstScan:
             for max_dist in (0, cb.v_length):
                 assert cc.decode_nearest(cb, received, max_dist) == \
                     scan_nearest(cb, received, max_dist)
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 15])
+    @pytest.mark.parametrize("sigma", [0.3, 0.5])
+    def test_all_stations_need_no_scan_when_certified(self, n, sigma,
+                                                      monkeypatch):
+        """Every station sends: the widest drop falls at no k = n, so all
+        n stations are measured after the gap set. A vector within half of
+        radius(n, n) of theirs is returned with no top-k scan. Past that
+        the scan runs (at sigma 0.5 about 16% of a 13-station vector's
+        chips flip, against a radius of 27% of them), and the outcome is
+        still that of a scan of every subset."""
+        scans = []
+        scan = decoder._top_k_distances
+        monkeypatch.setattr(decoder, "_top_k_distances",
+                            lambda *args: scans.append(args) or scan(*args))
+        cb = cached_codebook(n)
+        everyone = frozenset(range(1, n + 1))
+        clean = cc.demodulate(cc.superpose(cb, everyone))
+        certified = 0
+        for seed in range(8):
+            received = noisy_vector(cb, everyone, sigma, seed)
+            flips = int(np.count_nonzero(received != clean))
+            out = cc.decode_nearest(cb, received, cb.v_length)
+            if 2 * flips < _classes.radius(n, n):
+                certified += 1
+                assert not scans
+                assert out == cc.DecodeOutcome(cc.IDENTIFIED, everyone, flips)
+            else:
+                assert out == scan_nearest(cb, received, cb.v_length)
+            scans.clear()
+        if sigma == 0.3 and n > 5:
+            assert certified == 8
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_midway_from_all_stations_is_a_tie(self, n):
+        """A vector halfway between all n stations' vector and that of all
+        but stations 1 and 2, radius(n, n) apart, is as far from both: it
+        fails the all-stations certificate and is a tie."""
+        cb = cached_codebook(n)
+        everyone = cc.demodulate(cc.superpose(cb, range(1, n + 1)))
+        others = cc.demodulate(cc.superpose(cb, range(3, n + 1)))
+        differ = np.flatnonzero(everyone != others)
+        assert differ.size == _classes.radius(n, n)
+        received = everyone.copy()
+        received[differ[::2]] = others[differ[::2]]
+        expect = cc.DecodeOutcome(cc.NOMATCH, None, differ.size // 2)
+        assert scan_nearest(cb, received, cb.v_length) == expect
+        assert cc.decode_nearest(cb, received, cb.v_length) == expect
 
     def test_one_station_needs_no_scan(self, no_scan):
         """With one station there is no drop: the gap set is that station,
@@ -583,6 +632,37 @@ def test_seeded_outcomes_are_frozen():
                       "323031497e402c1331bf89744caa555c")
 
 
+def exact_outcomes():
+    """One line per decode_exact outcome on a seeded corpus: for each n in
+    1..15, 17 and 21, 8 random subsets' vectors clean, with one chip
+    flipped and at sigma 0.2, and 8 uniform random vectors."""
+    for n in [*range(1, 16), 17, 21]:
+        cb = cached_codebook(n)
+        rng = np.random.default_rng([n, 2])
+        for i in range(8):
+            mask = int(rng.integers(1, 1 << n))
+            subset = [s + 1 for s in range(n) if mask >> s & 1]
+            clean = cc.demodulate(cc.superpose(cb, subset))
+            flipped = clean.copy()
+            flipped[rng.integers(cb.v_length)] ^= 1
+            noisy = noisy_vector(cb, subset, 0.2, int(rng.integers(1 << 32)))
+            uniform = rng.integers(0, 2, cb.v_length, dtype=np.uint8)
+            for name, received in (("clean", clean), ("flipped", flipped),
+                                   ("noisy", noisy), ("uniform", uniform)):
+                out = cc.decode_exact(cb, received)
+                stations = sorted(out.stations) if out.stations else None
+                yield f"{n} {i} {name} {out.kind} {stations} {out.distance}"
+
+
+def test_seeded_exact_outcomes_are_frozen():
+    """The outcomes equal those of the decoder that re-encoded its
+    candidate set through superpose and demodulate, digested from that
+    decoder's run."""
+    digest = hashlib.sha256("\n".join(exact_outcomes()).encode()).hexdigest()
+    assert digest == ("4b8d35442efb2c1493fbfd562475a7bb"
+                      "124290049b50b3986661d36afe32ccca")
+
+
 class TestTopKScan:
     """The one blocked pass that measures every top-k set, against the
     per-k reference built from the matrix rows."""
@@ -617,6 +697,84 @@ class TestTopKScan:
         for _ in range(8):
             received = rng.integers(0, 2, cb.v_length).astype(np.uint8)
             self.check(cb, received, rng.permutation(n))
+
+
+class TestMismatches:
+    """The count of chips where a station set's demodulated vector and the
+    bits differ, read from the column values, against the references."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_subset_against_the_oracle(self, n):
+        """Even n included: the padding row belongs to no set, so it is
+        never counted."""
+        cb = cached_codebook(n)
+        rows = oracles.matrix_rows(n_rows(n))
+        rng = np.random.default_rng(70 + n)
+        for subset in oracles.nonempty_subsets(n):
+            target = oracles.demod(rows, subset)
+            for _ in range(3):
+                bits = rng.integers(0, 2, cb.v_length, dtype=np.uint8)
+                got = decoder._mismatches(cb, [i - 1 for i in subset], bits)
+                assert got == oracles.hamming(
+                    target, "".join(map(str, bits.tolist())))
+            clean = np.array(list(target), np.uint8)
+            assert decoder._mismatches(cb, [i - 1 for i in subset], clean) == 0
+
+    def test_broken_matrix(self):
+        """A matrix of random bits, built with the unchecking constructor:
+        the count needs no code property."""
+        rng = np.random.default_rng(5)
+        matrix = rng.integers(0, 2, (9, 77), dtype=np.uint8)
+        cb = cc.Codebook(8, matrix)
+        rows = ["".join(map(str, row)) for row in matrix.tolist()]
+        for subset in oracles.nonempty_subsets(8):
+            bits = rng.integers(0, 2, 77, dtype=np.uint8)
+            assert decoder._mismatches(cb, [i - 1 for i in subset], bits) == \
+                oracles.hamming(oracles.demod(rows, subset),
+                                "".join(map(str, bits.tolist())))
+
+    def test_two_blocks(self):
+        """n=19: V = 92,378 columns cross a _BLOCK_COLUMNS block."""
+        cb = cached_codebook(19)
+        assert decoder._BLOCK_COLUMNS < cb.v_length < 2 * decoder._BLOCK_COLUMNS
+        rng = np.random.default_rng(19)
+        for seed in range(6):
+            subset = sorted((rng.choice(19, int(rng.integers(1, 20)),
+                                        replace=False) + 1).tolist())
+            for bits in (noisy_vector(cb, subset, 0.6, seed),
+                         rng.integers(0, 2, cb.v_length, dtype=np.uint8)):
+                got = decoder._mismatches(cb, [i - 1 for i in subset], bits)
+                assert type(got) is int  # a distance printed as JSON
+                assert got == np.count_nonzero(
+                    cc.demodulate(cc.superpose(cb, subset)) != bits)
+
+
+def test_decoders_superpose_nothing(monkeypatch):
+    """Neither decoder superposes or demodulates a candidate set, and a
+    simulated session superposes once per round, for the channel."""
+    cb = cached_codebook(9)
+    received = [noisy_vector(cb, {2, 5, 7}, sigma, 3) for sigma in (0, 0.7)]
+    exact = [cc.decode_exact(cb, r) for r in received]
+    nearest = [cc.decode_nearest(cb, r, cb.v_length) for r in received]
+    assert all(type(out.distance) is int for out in nearest)  # JSON-ready
+    cfg = cc.SessionConfig(9, 0.3, 12, 4, 0.4)
+    session = cc.run_session(cfg).to_json_dict()
+
+    def refused(*args):
+        raise AssertionError("called")
+
+    assert not {"superpose", "demodulate"} & set(vars(decoder))
+    calls = []
+    superpose = channel.superpose
+    monkeypatch.setattr(channel, "superpose", refused)
+    monkeypatch.setattr(channel, "demodulate", refused)
+    assert [cc.decode_exact(cb, r) for r in received] == exact
+    assert [cc.decode_nearest(cb, r, cb.v_length) for r in received] == nearest
+    monkeypatch.setattr(channel, "superpose",
+                        lambda *args: calls.append(args) or superpose(*args))
+    stats = cc.run_session(cfg)
+    assert stats.to_json_dict() == session
+    assert len(calls) == stats.rounds_used
 
 
 class TestFlipRows:
