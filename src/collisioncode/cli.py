@@ -18,9 +18,8 @@ from .codebook import (FormatError, _read_codebook, _write_document,
 
 
 def _load_codebook(path: str):
-    # bytes, not text mode, so a CR reaches the parser as it is. A file
-    # or stdin redirected from one is read a row at a time, a pipe whole
-    # first, since a refused document is read again from where it began
+    # bytes, not text mode, so a CR reaches the parser as it is. A file,
+    # stdin and a pipe are all read a row at a time, each byte once
     if path == "-":
         return _read_codebook(sys.stdin.buffer)
     with open(path, "rb") as fh:

@@ -30,20 +30,20 @@ V+1 bytes. Writing renders each row from the column values as '0'/'1'
 characters and LF. Reading takes the header line, then reads each row
 into a buffer, checks its length, LF and characters, and folds it into
 the column values, which are then checked. While the caller renders or
-folds the row in one buffer, a worker thread makes the stream's `write`
-or `readinto` call for the neighbouring row in the other: the call and
-numpy's loops both release the GIL, so the two overlap. The read-ahead
-stops at the header's ROWS lines, and the worker is joined before the
-writer or reader returns or raises, so a stream must accept calls from
-another thread but is never called from two at once. Rows shorter than
-_OVERLAP_BYTES (up to 21 stations) make their calls inline, where a
-hand-over would cost more than it saves. One reader
-serves a file, stdin and the bytes of `parse_codebook` from where the
-stream stands; only a pipe is first read whole. A refused document is
-read again whole, from where it began, and one fault finder scans its
-bytes (decoding only the header line) for the first fault in the order
-a line-by-line read meets them, so the library and the CLI accept the
-same documents and refuse the rest with the same error.
+folds the row in one buffer, a one-thread pool makes the stream's
+`write` or `readinto` call for the neighbouring row in the other: the
+call and numpy's loops both release the GIL, so the two overlap. The
+read-ahead stops at the header's ROWS lines, and the pool is shut down
+before the writer or reader returns or raises, so a stream must accept
+calls from another thread but is never called from two at once. Rows
+shorter than _OVERLAP_BYTES (up to 21 stations) make their calls
+inline, where a hand-over would cost more than it saves. One reader
+serves a file, stdin, a pipe and the bytes of `parse_codebook`, forward
+from where the stream stands, and reads each byte once. At a fault it
+reads on to the end a MiB at a time, keeping only what could outrank
+that fault, and raises the first fault in the order a line-by-line read
+meets them, so the library and the CLI accept the same documents and
+refuse the rest with the same error.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -61,8 +61,8 @@ import io
 import math
 import numbers
 import re
-import threading
 from functools import cached_property
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -72,6 +72,7 @@ MAX_STATIONS = 25
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
 _BLOCK_COLUMNS = 1 << 16  # columns per step of a row array or a superpose; 8 | it
 _OVERLAP_BYTES = 1 << 20  # shortest row whose I/O call runs on a worker thread
+_SCAN_BYTES = 1 << 20  # bytes per read of the rest of a refused document
 
 
 class SizeLimitError(ValueError):
@@ -302,77 +303,50 @@ class _RowIO:
 
     `lines` holds each buffer with its view of all but the last byte.
     `swap(call, line)` waits for the pending call, then hands call(line),
-    a stream's `write` or `readinto`, to a worker thread, which makes it
-    while the caller renders or folds a row in the other buffer; it
+    a stream's `write` or `readinto`, to a one-thread pool, which makes
+    it while the caller renders or folds a row in the other buffer; it
     returns the result of the call it waited for, or raises its
     exception, as `wait()` does. A row shorter than _OVERLAP_BYTES makes
     its call inline, since handing it over costs more than such a call.
-    The worker lives for the `with` block; leaving it waits for a call
-    still pending, raises its exception unless another is already on its
-    way out, and joins the worker.
+    Leaving the `with` block waits for a call still pending, shuts the
+    pool down, and raises the call's exception unless another is already
+    on its way out.
     """
 
     def __init__(self, size: int):
         self.lines = [(line, line[:-1]) for line in
                       (np.empty(size, np.uint8), np.empty(size, np.uint8))]
-        self._worker = None
+        self._pool = self._pending = self._result = None
         if size >= _OVERLAP_BYTES:
-            self._worker = threading.Thread(target=self._serve)
-            self._posted = threading.Semaphore(0)
-            self._done = threading.Semaphore(0)
-        self._job = self._result = self._error = None
-        self._pending = False
+            # imported only here: at the top of the module it would add
+            # about 4 ms to the start of every process
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(1)
 
     def __enter__(self) -> "_RowIO":
-        if self._worker is not None:
-            self._worker.start()
         return self
 
     def __exit__(self, exc_type, *_) -> None:
-        if self._worker is None:  # inline calls raise where they are made
+        if self._pool is None:  # inline calls raise where they are made
             return
-        try:
-            self._settle()
-        finally:
-            self._job = None
-            self._posted.release()
-            self._worker.join()
+        self._pool.shutdown()
         if exc_type is None:
             self.wait()
 
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            if self._job is None:
-                return
-            call, line = self._job
-            try:
-                self._result = call(line)
-            except BaseException as exc:  # raised again in the caller by wait()
-                self._error = exc
-            self._done.release()
-
     def swap(self, call, line: np.ndarray):
-        if self._worker is None:
+        if self._pool is None:
             result, self._result = self._result, call(line)
             return result
         result = self.wait()
-        self._job, self._pending = (call, line), True
-        self._posted.release()
+        self._pending = self._pool.submit(call, line)
         return result
-
-    def _settle(self) -> None:
-        if self._pending:
-            self._done.acquire()
-            self._pending = False
 
     def wait(self):
-        self._settle()
-        if self._error is not None:
-            exc, self._error = self._error, None
-            raise exc
-        result, self._result = self._result, None
-        return result
+        if self._pending is None:
+            result, self._result = self._result, None
+            return result
+        pending, self._pending = self._pending, None
+        return pending.result()
 
 
 def _write_document(cb: Codebook, out) -> None:
@@ -413,61 +387,60 @@ def parse_codebook(doc: str) -> Codebook:
 
 
 def _read_codebook(fh) -> Codebook:
-    """The codebook of the document on the binary stream fh from its
-    current position, read whole first if fh cannot seek. A document
-    `_read_rows` refuses is read again whole for `_raise_first_fault`."""
-    if not fh.seekable():
-        fh = io.BytesIO(fh.read())
-    start = fh.tell()
-    cb = _read_rows(fh)
-    if cb is None:
-        fh.seek(start)
-        _raise_first_fault(fh.read())
-    return cb
-
-
-def _read_rows(fh) -> Codebook | None:
-    """The codebook read from fh a row at a time, or None unless the
-    document is a valid header line and then ROWS lines of V '0'/'1'
-    characters, each ending in LF; a matrix that breaks the invariants
-    raises InvariantError."""
+    """The codebook of the document on the binary stream fh, read forward
+    from where it stands, each byte once. A refused document raises the
+    first fault `_raise_first_fault` finds; it runs once the column
+    values folded so far are dropped, so it holds only the row buffers."""
     head = fh.readline()
-    if not head.endswith(b"\n"):
-        return None
     try:
-        n, n_rows, r, v = _header_fields(head[:-1].decode("ascii"))
-    except ValueError:
-        return None
-    lines = _read_lines(fh, v, n_rows)
+        if not head.endswith(b"\n"):
+            raise FormatError("document must end with a newline")
+        fields = _header_fields(head[:-1].decode("ascii"))
+    except ValueError:  # met again, in its order, by the fault finder
+        fields = None
+    if fields is None:
+        _raise_first_fault(fh, head, None, 0, ())
+    n, n_rows, r, v = fields
+    stop = []
+    lines = _read_lines(fh, v, n_rows, stop)
     try:
         vals = _fold(lines, n_rows, v)
     finally:
         lines.close()  # no read pending and no worker after this
-    if vals is None or fh.read(1):
-        return None
+    if vals is None:
+        _raise_first_fault(fh, head, fields, *stop)
+    if after := fh.read(1):
+        _raise_first_fault(fh, head, fields, n_rows, (after,))
     _check_values(vals, r)
     return Codebook._of_values(n, n_rows, vals)
 
 
-def _read_lines(fh, v: int, n_rows: int):
+def _read_lines(fh, v: int, n_rows: int, stop: list):
     """Yield the 0/1 bits of each of the first n_rows lines of fh while
-    it is v '0'/'1' characters and LF. The next line is read into the
-    other buffer of a `_RowIO` while the caller folds this one; no read
-    goes past line n_rows."""
+    it is v '0'/'1' characters and LF. At any other line, wait for the
+    read-ahead and end with `stop` set to the valid line count and the
+    bytes read past those lines: this line's, then the read-ahead's. The
+    next line is read into the other buffer of a `_RowIO` while the
+    caller folds this one; no read goes past line n_rows."""
     readinto = fh.readinto
     with _RowIO(v + 1) as io_:
         io_.swap(readinto, io_.lines[0][0])
         for i in range(n_rows):
-            line, bits = io_.lines[i % 2]
-            got = (io_.swap(readinto, io_.lines[1 - i % 2][0])
-                   if i + 1 < n_rows else io_.wait())
-            if got != v + 1 or line[-1] != ord("\n"):
-                return
-            # characters below '0' wrap round to large values
-            np.subtract(bits, ord("0"), out=bits)
-            if bits.max() > 1:
-                return
-            yield bits
+            (line, bits), ahead = io_.lines[i % 2], io_.lines[1 - i % 2][0]
+            more = i + 1 < n_rows
+            got = io_.swap(readinto, ahead) if more else io_.wait()
+            if got == v + 1 and line[-1] == ord("\n"):
+                # characters below '0' wrap round to large values
+                np.subtract(bits, ord("0"), out=bits)
+                if bits.max() <= 1:
+                    yield bits
+                    continue
+                np.add(bits, ord("0"), out=bits)  # the characters again
+            pieces = [line[:got]]
+            if more:
+                pieces.append(ahead[:io_.wait()])
+            stop[:] = i, pieces
+            return
 
 
 def _fold(rows, n_rows: int, v: int) -> np.ndarray | None:
@@ -522,32 +495,53 @@ def _header_fields(head: str) -> tuple[int, int, int, int]:
     return n, n_rows, r, v
 
 
-def _raise_first_fault(doc: bytes) -> NoReturn:
-    """Raise the first fault of a document `_read_rows` refused, in the
-    order a line-by-line read meets them: a non-ASCII byte (as the error
-    of `bytes.decode`), a missing final LF, the header's faults, the row
-    line count, then each row's length before its characters."""
-    if not doc.isascii():
-        # the error ASCII decoding raises at the first such byte, found a
-        # MiB at a time; its message reads the byte from the object
-        view, step = np.frombuffer(doc, np.uint8), 1 << 20
-        pos = next(c0 + int(np.argmax(view[c0:c0 + step] >= 0x80))
-                   for c0 in range(0, len(view), step)
-                   if view[c0:c0 + step].max() >= 0x80)
-        raise UnicodeDecodeError("ascii", doc, pos, pos + 1,
-                                 "ordinal not in range(128)")
-    if not doc.endswith(b"\n"):
+def _raise_first_fault(fh, head: bytes, fields, rows: int,
+                       pieces) -> NoReturn:
+    """Raise the first fault of a document refused after its header line
+    `head`, with `_header_fields` `fields` or None if it is not valid,
+    and `rows` valid rows, in the order a line-by-line read meets
+    them: a non-ASCII byte (as the error of `bytes.decode`), a missing
+    final LF, the header's faults, the row line count, then the length
+    of the first row not read valid before its characters.
+
+    The document goes on with the buffers `pieces`, then the rest of fh,
+    all taken _SCAN_BYTES at a time, and fh is read only as far as a
+    non-ASCII byte. What is kept is what can outrank a later fault: the
+    first non-ASCII byte, the last byte, the LF count, and the length
+    and first character other than '0' and '1' of that first row."""
+    if not head.isascii():
+        head.decode("ascii")  # raises at the first such byte
+    pos = len(head) + rows * (fields[3] + 1 if fields else 0)
+    last, lfs, in_row, row_len, row_bad = head[-1:], 0, True, 0, b""
+    for chunk in chain((bytes(p[c0:c0 + _SCAN_BYTES]) for p in pieces
+                        for c0 in range(0, len(p), _SCAN_BYTES)),
+                       iter(lambda: fh.read(_SCAN_BYTES), b"")):
+        if not chunk.isascii():
+            at = int(np.argmax(np.frombuffer(chunk, np.uint8) >= 0x80))
+            pos += at
+            # the error ASCII decoding raises at that byte: its message
+            # reads the byte from an object at least as long as its position
+            raise UnicodeDecodeError(
+                "ascii", chunk[at:at + 1].rjust(pos + 1, b"\0"), pos, pos + 1,
+                "ordinal not in range(128)")
+        if in_row:
+            end = chunk.find(b"\n")
+            in_row = end < 0
+            part = chunk if in_row else chunk[:end]
+            row_len += len(part)
+            row_bad = row_bad or part.translate(None, b"01")[:1]
+        lfs += chunk.count(b"\n")
+        last = chunk[-1:]
+        pos += len(chunk)
+    if last != b"\n":
         raise FormatError("document must end with a newline")
-    end = doc.index(b"\n")
-    _, n_rows, _, v = _header_fields(doc[:end].decode("ascii"))
-    lines = doc.count(b"\n")
-    if lines != 1 + n_rows:
-        raise FormatError(f"expected {n_rows} row lines, got {lines - 1}")
-    for i in range(1, n_rows + 1):
-        start, end = end + 1, doc.index(b"\n", end + 1)
-        if end - start != v:
-            raise FormatError(f"row {i} has length {end - start}, expected {v}")
-        _check_bit_chars(doc[start:end])
+    # an invalid header line raises its fault here
+    _, n_rows, _, v = fields or _header_fields(head[:-1].decode("ascii"))
+    if rows + lfs != n_rows:
+        raise FormatError(f"expected {n_rows} row lines, got {rows + lfs}")
+    if row_len != v:
+        raise FormatError(f"row {rows + 1} has length {row_len}, expected {v}")
+    _check_bit_chars(row_bad)
 
 
 def _check_values(vals: np.ndarray, r: int) -> None:

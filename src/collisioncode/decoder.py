@@ -96,17 +96,25 @@ class DecodeOutcome:
     distance: int | None = None
 
 
-def _check_bits(cb: Codebook, received) -> np.ndarray:
+def _check_bits(cb: Codebook, received) -> tuple[np.ndarray, bool]:
+    """received as a 0/1 uint8 vector, and whether it is silence (all
+    0); a wrong length or an entry other than 0 and 1 raises ValueError."""
     arr = np.asarray(received)
     if arr.ndim != 1 or arr.size != cb.v_length:
         raise ValueError(
             f"received vector has length {arr.size}, expected {cb.v_length}")
-    # one pass over a uint8 input; other types are compared, not cast,
-    # so that a NaN or a wrapped value is refused without a cast warning
-    if (arr.max() > 1 if arr.dtype == np.uint8
-            else ((arr != 0) & (arr != 1)).any()):
+    # one pass over a uint8 input, whose max also tells silence; other
+    # types are compared, not cast, so that a NaN or a wrapped value is
+    # refused without a cast warning
+    if arr.dtype == np.uint8:
+        top = arr.max()
+    else:
+        ones = arr == 1
+        top = ones.max() if (ones | (arr == 0)).all() else 2
+        arr = ones.view(np.uint8)
+    if top > 1:
         raise ValueError("received vector entries must be 0 or 1")
-    return arr.astype(np.uint8, copy=False)
+    return arr, top == 0
 
 
 def _correlation(cb: Codebook, packed_bits: np.ndarray) -> np.ndarray:
@@ -119,8 +127,8 @@ def _correlation(cb: Codebook, packed_bits: np.ndarray) -> np.ndarray:
 
 def decode_exact(cb: Codebook, received) -> DecodeOutcome:
     """Unique preimage of a received bitstream, silence, or no match."""
-    bits = _check_bits(cb, received)
-    if not bits.any():
+    bits, silent = _check_bits(cb, received)
+    if silent:
         return DecodeOutcome(SILENCE, None, 0)
     corr = _correlation(cb, np.packbits(bits))
     members = np.flatnonzero(corr == corr.max()).tolist()
@@ -178,8 +186,8 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     max_dist = _integer("max_dist", max_dist)
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
-    bits = _check_bits(cb, received)
-    if not bits.any():
+    bits, silent = _check_bits(cb, received)
+    if silent:
         return DecodeOutcome(SILENCE, None, 0)
     n = cb.n_stations
     packed_bits = np.packbits(bits)

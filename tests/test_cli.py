@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import types
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -170,6 +171,8 @@ class TestBytesLoader:
                 doc, doc.replace(b"\n", b"\r\n"), doc[:len(doc) // 2],
                 doc[:-1],
                 doc[:5] + b"\xc3\xa9" + doc[5:],  # non-ASCII in the header
+                doc[:5] + b"\xc3\xa9" + doc[5:-1],  # ... and no final LF
+                doc[:5] + b"\xff" + doc[5:-2] + b"\x80\n",  # ... and the body
                 doc[:-2] + b"\xff\n",  # non-ASCII in the body
                 doc.replace(b"v1", b"v2", 1)[:-2] + b"\x80\n",
                 doc.replace(b" V=", b" V=9", 1)[:-2] + b"\x80\n",
@@ -247,7 +250,7 @@ class TestBytesLoader:
                                 "1"]) == self.encode_result(data), data
 
     def test_unseekable_stdin_matches_text_parse(self, monkeypatch):
-        """stdin from a pipe is read whole, then as a file is."""
+        """stdin from a pipe is read forward, as a file is."""
         class Pipe(io.BytesIO):
             def seekable(self):
                 return False
@@ -255,6 +258,60 @@ class TestBytesLoader:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Pipe(data)))
             assert (self.outcome(cli._load_codebook, "-")
                     == self.text_outcome(data)), data
+
+    def test_every_source_is_read_once(self):
+        """A stream that cannot go back loads as the text parse: it is
+        never asked to seek, and hands out each byte at most once."""
+        class OneWay(io.BytesIO):
+            def __init__(self, data):
+                super().__init__(data)
+                self.handed, self.seeks = 0, []
+
+            def _hand(self, got):
+                self.handed += got if isinstance(got, int) else len(got)
+                return got
+
+            def read(self, size=-1):
+                return self._hand(super().read(size))
+
+            def read1(self, size=-1):
+                return self._hand(super().read1(size))
+
+            def readline(self, size=-1):
+                return self._hand(super().readline(size))
+
+            def readinto(self, b):
+                return self._hand(super().readinto(b))
+
+            def readinto1(self, b):
+                return self._hand(super().readinto1(b))
+
+            def seekable(self):
+                self.seeks.append("seekable")
+                return False
+
+            def seek(self, *args):
+                self.seeks.append("seek")
+                raise io.UnsupportedOperation("seek")
+
+            def tell(self):
+                self.seeks.append("tell")
+                raise io.UnsupportedOperation("tell")
+        for data in self.corpus():
+            stream = OneWay(data)
+            assert (self.outcome(codebook._read_codebook, stream)
+                    == self.text_outcome(data)), data
+            assert stream.seeks == [] and stream.handed <= len(data), data
+
+    @pytest.mark.parametrize("scan", [1, 7])
+    def test_fault_found_across_scan_reads(self, monkeypatch, scan):
+        """The fault finder takes the rest of a document a few bytes at a
+        time, so a row spans several of its reads; it still finds the
+        oracle's first fault."""
+        monkeypatch.setattr(codebook, "_SCAN_BYTES", scan)
+        for data in self.corpus():
+            assert (self.outcome(codebook._read_codebook, io.BytesIO(data))
+                    == self.oracle_outcome(data)), data
 
     def test_stdin_after_a_prefix_matches_text_parse(self, monkeypatch):
         """A seekable stdin already past some bytes holds the document
@@ -436,16 +493,17 @@ class TestRowStreaming:
 
 
 def count_workers(monkeypatch) -> list:
-    """Lower the floor so that every row's I/O call runs on the worker
-    thread; the returned list gains an entry per worker started."""
+    """Lower the floor so that every row's I/O call runs on a worker
+    thread; the returned list gains an entry per worker pool made."""
     monkeypatch.setattr(codebook, "_OVERLAP_BYTES", 1)
-    started, serve = [], codebook._RowIO._serve
+    made = []
 
-    def counted(self):
-        started.append(self)
-        serve(self)
-    monkeypatch.setattr(codebook._RowIO, "_serve", counted)
-    return started
+    class Counted(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
+    return made
 
 
 class TestWorkerIO:

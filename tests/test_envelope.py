@@ -1,10 +1,12 @@
 """Memory envelope at the 25-station cap: `gen` (to a file and to stdout),
-`superpose`, `encode` (from a file and from stdin redirected from it),
-exact `decode` and `verify --check claims` each run as a child process
-whose peak RSS stays within PEAK_RSS_MB, `decode --nearest` of a vector
-that reaches the class search and `simulate` on the ideal and the noisy
-channel within NEAREST_PEAK_RSS_MB, and the refusal of a corrupted
-codebook file within REFUSAL_PEAK_RSS_MB. Inputs over a size budget
+`superpose`, `encode` (from a file, from stdin redirected from it and
+through a pipe), exact `decode`, `verify --check claims` and the refusal
+of a corrupted codebook, from a file or through a pipe, each run as a
+child process whose peak RSS stays within PEAK_RSS_MB, `decode
+--nearest` of a vector that reaches the class search and `simulate` on
+the ideal and the noisy channel within NEAREST_PEAK_RSS_MB, and the
+refusal of a codebook with a non-ASCII byte within REFUSAL_PEAK_RSS_MB.
+Inputs over a size budget
 (`gen --n 26`, `simulate --rounds 1001`, `verify` over the claims budget
 and `decode --nearest` of a uniform vector at 18 stations) each exit 2
 with an empty stdout within PEAK_RSS_MB. No timing bound is set.
@@ -35,29 +37,39 @@ pytestmark = pytest.mark.skipif(sys.platform != "linux",
 
 PEAK_RSS_MB = 150
 NEAREST_PEAK_RSS_MB = 256  # the class search's flip rows and sum tables
-REFUSAL_PEAK_RSS_MB = 200  # the refused document, read again whole
+# a non-ASCII byte's error message reads the byte from an object at
+# least as long as its position in the document
+REFUSAL_PEAK_RSS_MB = 200
 STATIONS = list(range(1, 26, 2))  # 13 of the 25 stations
 SRC = Path(__file__).resolve().parent.parent / "src"
 _LAUNCHER = """
-import resource, subprocess, sys
+import resource, shutil, subprocess, sys
 with (open(sys.argv[1], "wb") as out, open(sys.argv[2], "rb") as inp,
       open(sys.argv[3], "wb") as err):
-    code = subprocess.run(sys.argv[4:], stdin=inp, stdout=out,
-                          stderr=err).returncode
+    pipe = sys.argv[4] == "pipe"
+    child = subprocess.Popen(sys.argv[5:], stdin=subprocess.PIPE if pipe
+                             else inp, stdout=out, stderr=err)
+    if pipe:
+        try:
+            with child.stdin:
+                shutil.copyfileobj(inp, child.stdin)
+        except BrokenPipeError:  # the child stopped reading
+            pass
+    code = child.wait()
 print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def run_cli(stdout_path, *argv, stdin=os.devnull,
-            stderr=os.devnull) -> tuple[int, float]:
+def run_cli(stdout_path, *argv, stdin=os.devnull, stderr=os.devnull,
+            pipe=False) -> tuple[int, float]:
     """(exit code, peak RSS in MB) of one CLI run in a child process whose
-    stdin is read from the file stdin and whose stdout and stderr go to
-    the files stdout_path and stderr."""
+    stdin is the file stdin, or a pipe the launcher copies it into, and
+    whose stdout and stderr go to the files stdout_path and stderr."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, str(stdout_path), str(stdin),
-         str(stderr), sys.executable, "-m", "collisioncode.cli",
-         *map(str, argv)],
+         str(stderr), "pipe" if pipe else "file", sys.executable, "-m",
+         "collisioncode.cli", *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=300, check=True)
     code, kib = done.stdout.split()
@@ -125,6 +137,16 @@ def test_encode_from_stdin(work, gen_out):
         cc.codeword_for(cc.build_codebook(25), 25)) + "\n"
 
 
+def test_encode_from_a_pipe(work, gen_out):
+    """A pipe is read a row at a time, as the file is."""
+    out = work / "encode-pipe.txt"
+    code, peak = run_cli(out, "encode", "--station", 25, "--codebook", "-",
+                         stdin=gen_out[0], pipe=True)
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    assert out.read_text() == cc.bits_to_str(
+        cc.codeword_for(cc.build_codebook(25), 25)) + "\n"
+
+
 V25 = math.comb(25, 13)
 HEAD25 = len(f"COLLISIONCODE v1 N=25 ROWS=25 R=13 V={V25}\n")
 
@@ -141,29 +163,50 @@ def splice(src, dst, pos: int, cut: int, insert: bytes) -> None:
         shutil.copyfileobj(fin, fout)
 
 
-@pytest.mark.parametrize("pos, cut, insert, message", [
-    (-2, 1, b"x", "invalid bit character 'x'"),
-    (-1, 1, b"", "document must end with a newline"),
-    (-V25 + 2, 1, b"\xff", "'ascii' codec can't decode byte 0xff in position "
-                          f"{HEAD25 + 24 * (V25 + 1) + 3}: ordinal not in "
-                          "range(128)"),
-    (HEAD25 + 10, 0, b"\n", "expected 25 row lines, got 26"),
-    (-5, 4, b"", f"row 25 has length {V25 - 4}, expected {V25}"),
-], ids=["bad byte in the last row", "no final LF", "high byte in the last row",
-        "extra LF in row 1", "last row 4 bytes short"])
-def test_refused_file(work, gen_out, pos, cut, insert, message):
-    """A corrupted document is refused, exit 2 and the first fault's
-    message, within REFUSAL_PEAK_RSS_MB."""
+REFUSALS = {
+    "bad byte in the last row": (-2, 1, b"x", "invalid bit character 'x'"),
+    "no final LF": (-1, 1, b"", "document must end with a newline"),
+    "high byte in the last row": (
+        -V25 + 2, 1, b"\xff", "'ascii' codec can't decode byte 0xff in "
+        f"position {HEAD25 + 24 * (V25 + 1) + 3}: ordinal not in range(128)"),
+    "extra LF in row 1": (HEAD25 + 10, 0, b"\n", "expected 25 row lines, got 26"),
+    "last row 4 bytes short": (-5, 4, b"", f"row 25 has length {V25 - 4}, "
+                                           f"expected {V25}"),
+}
+
+
+def refused(work, gen_out, kind, pipe=False) -> tuple[int, float]:
+    """(exit code, peak RSS in MB) of encode of the codebook corrupted as
+    REFUSALS[kind] says, from a file or through a pipe; its stdout must be
+    empty and its stderr the first fault's message."""
+    pos, cut, insert, message = REFUSALS[kind]
     bad, out, err = work / "bad.txt", work / "bad.out", work / "bad.err"
     splice(gen_out[0], bad, pos, cut, insert)
     try:
-        code, peak = run_cli(out, "encode", "--station", 1, "--codebook", bad,
-                             stderr=err)
+        got = run_cli(out, "encode", "--station", 1, "--codebook",
+                      "-" if pipe else bad, stdin=bad if pipe else os.devnull,
+                      stderr=err, pipe=pipe)
     finally:
         bad.unlink()
-    assert code == 2 and peak <= REFUSAL_PEAK_RSS_MB, peak
     assert out.read_bytes() == b""
     assert err.read_text() == f"error: {message}\n"
+    return got
+
+
+@pytest.mark.parametrize("kind", REFUSALS)
+def test_refused_file(work, gen_out, kind):
+    """A corrupted document is refused, exit 2 and the first fault's
+    message, within PEAK_RSS_MB; a non-ASCII byte within
+    REFUSAL_PEAK_RSS_MB."""
+    code, peak = refused(work, gen_out, kind)
+    bound = REFUSAL_PEAK_RSS_MB if kind.startswith("high") else PEAK_RSS_MB
+    assert code == 2 and peak <= bound, peak
+
+
+def test_refused_pipe(work, gen_out):
+    """A corrupted document through a pipe is read once, as a file is."""
+    code, peak = refused(work, gen_out, "bad byte in the last row", pipe=True)
+    assert code == 2 and peak <= PEAK_RSS_MB, peak
 
 
 def test_exact_decode(work, gen_out, superposed):
