@@ -663,6 +663,46 @@ def test_seeded_exact_outcomes_are_frozen():
                       "124290049b50b3986661d36afe32ccca")
 
 
+def large_n_outcomes():
+    """One line per unbounded decode_nearest outcome, or SizeLimitError
+    message, on a seeded corpus past the 17-station full scan: 4 noisy
+    vectors of random subsets for each n in {18, 21} and sigma in {0.7,
+    1.0, 1.5}, and 3 uniform vectors at n = 18."""
+    def line(cb, received):
+        try:
+            out = cc.decode_nearest(cb, received, cb.v_length)
+        except cc.SizeLimitError as exc:
+            return f"refused {exc}"
+        stations = sorted(out.stations) if out.stations else None
+        return f"{out.kind} {stations} {out.distance}"
+
+    for n in (18, 21):
+        cb = cached_codebook(n)
+        for sigma in (0.7, 1.0, 1.5):
+            rng = np.random.default_rng([n, round(10 * sigma), 1])
+            for i in range(4):
+                mask = int(rng.integers(1, 1 << n))
+                subset = [s + 1 for s in range(n) if mask >> s & 1]
+                received = noisy_vector(cb, subset, sigma,
+                                        int(rng.integers(1 << 32)))
+                yield f"{n} {sigma} {i} {line(cb, received)}"
+    cb = cached_codebook(18)
+    rng = np.random.default_rng([18, 2])
+    for i in range(3):
+        received = rng.integers(0, 2, cb.v_length, dtype=np.uint8)
+        yield f"18 uniform {i} {line(cb, received)}"
+
+
+def test_large_n_outcomes_are_frozen():
+    """Outcomes and refusals at n >= 18, where the class search is sized
+    against NEAREST_BUDGET_CHIPS, equal those of the decoder that scanned
+    every top-k set before the class search, digested from its run."""
+    digest = hashlib.sha256(
+        "\n".join(large_n_outcomes()).encode()).hexdigest()
+    assert digest == ("1b5f4f6272959720f2ccf21482c07898"
+                      "b25eeb17424371606561d12c3af18023")
+
+
 class TestTopKScan:
     """The one blocked pass that measures every top-k set, against the
     per-k reference built from the matrix rows."""
