@@ -37,21 +37,14 @@ n stations when n = 1), measured by the same count over the column
 values as an exact decode. Noise leaves the members' correlations near
 A_k and the others' near B_k, so the widest drop usually falls at the
 transmitting set's size. When all n stations send there are no others,
-so the drop falls anywhere; the second candidate is therefore all n
-stations, measured the same way. A certified candidate is returned. It
-is then also what the scan below would return: it is a top-k set, the
-unique nearest of all subsets, and it passes the same certificate.
+so the drop falls anywhere; when the gap set is not certified, all n
+stations are therefore measured the same way. A certified candidate is
+returned.
 
-Otherwise the decoder measures the distance from y to the top-k set for
-every k = 1..n in one pass over blocks of the packed rows: each block is
-unpacked in correlation order, turned into prefix counts by adding each
-row to the next, and compared with every k's majority threshold at once,
-and the packed results are XOR'd with the packed y: O(n * V) in all, with
-no unpacked matrix. The best of these (the smallest k on a tie), S* at
-distance d*, is certified as above when 2 d* < r_k. Otherwise the
-triangle inequality puts every T within d* of y inside the classes
-within 2 d* of S*, and the decoder searches exactly those, so the
-result is the one a scan of all 2^n subsets would give. The
+Otherwise the nearer of the two (the gap set on a tie), S at distance
+d, starts a search. The triangle inequality puts every T within d of y
+inside the classes within 2 d of S, and the decoder searches exactly
+those, so the result is the one a scan of all 2^n subsets would give. The
 search is sized from the class counts before it starts: one that would
 cover more than NEAREST_BUDGET_CHIPS chips (subsets times V, the work of
 a full scan at 17 stations) raises SizeLimitError. No input at n <= 17
@@ -66,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _classes
-from .codebook import (_BLOCK_COLUMNS, MAX_STATIONS, Codebook,
-                       SizeLimitError, _byte_plane, _integer)
+from .codebook import (_BLOCK_COLUMNS, Codebook, SizeLimitError, _byte_plane,
+                       _integer)
 
 # the chips of the largest search the old 2^n scan ran: every subset at 17
 # stations, so no input at n <= 17 is refused
@@ -75,8 +68,6 @@ NEAREST_BUDGET_CHIPS = ((1 << 17) - 1) * math.comb(17, 9)
 # stations in the class search's low block, and the most bytes its table holds
 _LO_BITS = 8
 _LO_TABLE_BYTES = 1 << 26
-# the majority threshold k // 2 + 1 of the top-k set, in row k - 1
-_MAJORITY = (np.arange(1, MAX_STATIONS + 1) // 2 + 1).astype(np.uint8)[:, None]
 
 IDENTIFIED = "identified"
 SILENCE = "silence"
@@ -172,16 +163,13 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     The gap set (the stations above the widest drop in the ranked
     correlations), at distance d, is returned when 2 d < r_k, the least
     distance from its vector to any other subset's: every other subset
-    is then at least r_k - d > d away, so a scan of every top-k set
-    would pick the same set at the same distance. Failing that, all n
-    stations are measured and returned under the same certificate, the
-    case where every station sends. Each distance is counted from the
-    column values, with no superposition. Only when both certificates
-    fail are all n top-k sets scanned and, if their best is not
-    certified either, the overlap classes searched from the scan's
-    best. An input whose exact search would cover more than
-    NEAREST_BUDGET_CHIPS subset chips raises SizeLimitError before the
-    search starts.
+    is then at least r_k - d > d away. Failing that, all n stations are
+    measured and returned under the same certificate, the case where
+    every station sends. Each distance is counted from the column
+    values, with no superposition. When neither is certified, the
+    overlap classes are searched from the nearer of the two. An input
+    whose exact search would cover more than NEAREST_BUDGET_CHIPS subset
+    chips raises SizeLimitError before the search starts.
     """
     max_dist = _integer("max_dist", max_dist)
     if max_dist < 0:
@@ -190,8 +178,7 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     if silent:
         return DecodeOutcome(SILENCE, None, 0)
     n = cb.n_stations
-    packed_bits = np.packbits(bits)
-    corr = _correlation(cb, packed_bits)
+    corr = _correlation(cb, np.packbits(bits))
     order = np.argsort(-corr, kind="stable")
     # the gap set: the stations ranked above the first widest drop in
     # correlation, or the one station when n = 1
@@ -201,42 +188,16 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
     best = _mismatches(cb, members, bits)
     if 2 * best >= _classes.radius(n, k) and k < n:
         # all n stations: when every one sends, no drop sets them apart
-        k, members = n, list(range(n))
-        best = _mismatches(cb, members, bits)
+        everyone = list(range(n))
+        dist = _mismatches(cb, everyone, bits)
+        if dist < best:
+            k, members, best = n, everyone, dist
     ties = 1
     if 2 * best >= _classes.radius(n, k):
-        dist = _top_k_distances(cb, order, packed_bits)
-        best_k = int(dist.argmin()) + 1  # the first minimum: ties to smaller k
-        best = int(dist[best_k - 1])
-        members = sorted(order[:best_k].tolist())
-        if 2 * best >= _classes.radius(n, best_k):
-            best, members, ties = _nearest_by_class(cb, bits, members, best)
+        best, members, ties = _nearest_by_class(cb, bits, members, best)
     if best > max_dist or ties > 1:
         return DecodeOutcome(NOMATCH, None, best)
     return DecodeOutcome(IDENTIFIED, frozenset(i + 1 for i in members), best)
-
-
-def _top_k_distances(cb: Codebook, order: np.ndarray,
-                     packed_bits: np.ndarray) -> np.ndarray:
-    """int64 distances from the packed bits to demod of the stations
-    order[:k], in entry k - 1, for every k = 1..len(order).
-
-    Each block of _BLOCK_COLUMNS columns is unpacked in the given order
-    and summed down the rows in place, so row k - 1 holds the chip counts
-    of the top-k set; all k are thresholded at once, packed and compared
-    with the bits. The padding bits of the last byte are 0 in the rows
-    and the bits alike, so they count nowhere."""
-    majority = _MAJORITY[:len(order)]
-    dist = np.zeros(len(order), np.int64)
-    step = _BLOCK_COLUMNS // 8
-    for b0 in range(0, cb.packed.shape[1], step):
-        counts = np.unpackbits(cb.packed[order, b0:b0 + step], axis=1)
-        for prev, row in zip(counts, counts[1:]):
-            np.add(row, prev, out=row)
-        demod = np.packbits(counts >= majority, axis=1)
-        dist += np.bitwise_count(demod ^ packed_bits[b0:b0 + step]).sum(
-            axis=1, dtype=np.int64)
-    return dist
 
 
 def _flip_rows(cb: Codebook, cols: np.ndarray, width: int) -> np.ndarray:

@@ -4,8 +4,7 @@ Everything here is pure Python over bit strings and deliberately avoids
 the package's numpy code paths, so a test comparing the two is a real
 cross-check rather than the implementation agreeing with itself. Only the
 seeded draws of the claims check use numpy's generator, which defines
-them, and `top_k_distances` adds plain numpy rows one k at a time, since
-the sizes it checks are too large for pure Python.
+them.
 """
 
 import math
@@ -65,18 +64,6 @@ def reachable_map(n_stations: int, n_rows: int | None = None) -> dict:
 
 def hamming(a: str, b: str) -> int:
     return sum(x != y for x, y in zip(a, b))
-
-
-def top_k_distances(matrix: np.ndarray, order, bits: np.ndarray) -> list[int]:
-    """Hamming distance from bits to the majority-demodulated vector of
-    the rows order[:k] of a 0/1 matrix, for k = 1..len(order): one row
-    added to the column counts per k."""
-    counts = np.zeros(matrix.shape[1], np.int64)
-    dists = []
-    for k, i in enumerate(order, start=1):
-        counts += matrix[i]
-        dists.append(int(np.count_nonzero((2 * counts > k) != (bits == 1))))
-    return dists
 
 
 def claims_report(rows: list[str], trials: int, seed: int):

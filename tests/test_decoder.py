@@ -420,25 +420,20 @@ class TestNearestAgainstScan:
 
     @pytest.mark.parametrize("n", range(6, 14))
     def test_seeded_sweep(self, n, monkeypatch):
-        """Every outcome equals the scan's, and each tier runs: the gap
-        set certified, the top-k scan and the class search."""
-        searches, scans, decodes = [], [], []
+        """Every outcome equals the scan's, and each tier runs: a
+        certified candidate and the class search."""
+        searches, decodes = [], []
 
         def counted(*args):
             searches.append(args)
             return search(*args)
 
-        def counted_scan(*args):
-            scans.append(args)
-            return scan(*args)
-
         def nearest(received, max_dist):
             decodes.append(max_dist)
             return cc.decode_nearest(cb, received, max_dist)
 
-        search, scan = decoder._nearest_by_class, decoder._top_k_distances
+        search = decoder._nearest_by_class
         monkeypatch.setattr(decoder, "_nearest_by_class", counted)
-        monkeypatch.setattr(decoder, "_top_k_distances", counted_scan)
         cb = cached_codebook(n)
         v = cb.v_length
         rng = np.random.default_rng(600 + n)
@@ -476,14 +471,18 @@ class TestNearestAgainstScan:
                 assert nearest(received, max_dist) == \
                     scan_nearest(cb, received, max_dist), max_dist
         assert kinds == {cc.IDENTIFIED, cc.NOMATCH}  # nomatch here is a tie
-        assert 0 < len(searches) < 3 * len(vectors)
-        assert 0 < len(scans) < len(decodes)
+        assert 0 < len(searches) < len(decodes)
 
-    def test_low_noise_needs_no_search(self, monkeypatch):
-        def no_search(*args):
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        """Fail any call of the class search, the tier past the
+        certificates."""
+        def searched(*args):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(decoder, "_nearest_by_class", no_search)
+        monkeypatch.setattr(decoder, "_nearest_by_class", searched)
+
+    def test_low_noise_needs_no_search(self, no_search):
         cb = cached_codebook(13)
         rng = np.random.default_rng(13)
         for seed in range(32):
@@ -492,20 +491,11 @@ class TestNearestAgainstScan:
             assert cc.decode_nearest(cb, received, 200) == scan_nearest(
                 cb, received, 200)
 
-
-    @pytest.fixture
-    def no_scan(self, monkeypatch):
-        """Fail any call of the top-k scan, which every later tier needs."""
-        def scanned(*args):
-            raise AssertionError("scanned")
-
-        monkeypatch.setattr(decoder, "_top_k_distances", scanned)
-
     @pytest.mark.parametrize("n", [13, 15])
     @pytest.mark.parametrize("sigma", [0.3, 0.5])
-    def test_moderate_noise_needs_no_scan(self, n, sigma, no_scan):
-        """The gap set is the sent set and is certified, so neither the
-        top-k scan nor the class search runs."""
+    def test_moderate_noise_needs_no_scan(self, n, sigma, no_search):
+        """The gap set is the sent set and is certified, so the class
+        search does not run."""
         cb = cached_codebook(n)
         rng = np.random.default_rng([n, round(10 * sigma)])
         for seed in range(32):
@@ -540,14 +530,15 @@ class TestNearestAgainstScan:
                                                       monkeypatch):
         """Every station sends: the widest drop falls at no k = n, so all
         n stations are measured after the gap set. A vector within half of
-        radius(n, n) of theirs is returned with no top-k scan. Past that
-        the scan runs (at sigma 0.5 about 16% of a 13-station vector's
+        radius(n, n) of theirs is returned with no class search. Past that
+        the search runs (at sigma 0.5 about 16% of a 13-station vector's
         chips flip, against a radius of 27% of them), and the outcome is
         still that of a scan of every subset."""
-        scans = []
-        scan = decoder._top_k_distances
-        monkeypatch.setattr(decoder, "_top_k_distances",
-                            lambda *args: scans.append(args) or scan(*args))
+        searches = []
+        search = decoder._nearest_by_class
+        monkeypatch.setattr(decoder, "_nearest_by_class",
+                            lambda *args: searches.append(args) or
+                            search(*args))
         cb = cached_codebook(n)
         everyone = frozenset(range(1, n + 1))
         clean = cc.demodulate(cc.superpose(cb, everyone))
@@ -558,11 +549,11 @@ class TestNearestAgainstScan:
             out = cc.decode_nearest(cb, received, cb.v_length)
             if 2 * flips < _classes.radius(n, n):
                 certified += 1
-                assert not scans
+                assert not searches
                 assert out == cc.DecodeOutcome(cc.IDENTIFIED, everyone, flips)
             else:
                 assert out == scan_nearest(cb, received, cb.v_length)
-            scans.clear()
+            searches.clear()
         if sigma == 0.3 and n > 5:
             assert certified == 8
 
@@ -582,7 +573,7 @@ class TestNearestAgainstScan:
         assert scan_nearest(cb, received, cb.v_length) == expect
         assert cc.decode_nearest(cb, received, cb.v_length) == expect
 
-    def test_one_station_needs_no_scan(self, no_scan):
+    def test_one_station_needs_no_scan(self, no_search):
         """With one station there is no drop: the gap set is that station,
         and with no other subset it is certified."""
         cb = cached_codebook(1)
@@ -591,7 +582,7 @@ class TestNearestAgainstScan:
         assert cc.decode_nearest(cb, np.array([0]), 0) == cc.DecodeOutcome(
             cc.SILENCE, None, 0)
 
-    def test_tied_drops_go_to_the_smaller_k(self, no_scan, monkeypatch):
+    def test_tied_drops_go_to_the_smaller_k(self, no_search, monkeypatch):
         """Ranked correlations 10, 10, 5, 5, 0 drop by 5 after 2 and after
         4 stations: the gap set is the first two, which sent, so it is
         certified; the first four would not be."""
@@ -701,42 +692,6 @@ def test_large_n_outcomes_are_frozen():
         "\n".join(large_n_outcomes()).encode()).hexdigest()
     assert digest == ("1b5f4f6272959720f2ccf21482c07898"
                       "b25eeb17424371606561d12c3af18023")
-
-
-class TestTopKScan:
-    """The one blocked pass that measures every top-k set, against the
-    per-k reference built from the matrix rows."""
-
-    @staticmethod
-    def check(cb, received, order):
-        got = decoder._top_k_distances(cb, order, np.packbits(received))
-        assert got.dtype == np.int64
-        assert got.tolist() == oracles.top_k_distances(
-            cb.matrix(), order.tolist(), received)
-
-    @pytest.mark.parametrize("n,blocks", [(19, 2), (21, 6)])
-    def test_several_blocks(self, n, blocks):
-        cb = cached_codebook(n)
-        assert -(-cb.v_length // decoder._BLOCK_COLUMNS) == blocks
-        rng = np.random.default_rng(1900 + n)
-        for seed in range(4):
-            subset = (rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
-                      + 1).tolist()
-            received = noisy_vector(cb, subset, 0.6, seed)
-            corr = decoder._correlation(cb, np.packbits(received))
-            self.check(cb, received, np.argsort(-corr, kind="stable"))
-            self.check(cb, received, rng.permutation(n))
-
-    @pytest.mark.parametrize("n", [1, 2, 9, 13])
-    def test_narrow_blocks(self, n, monkeypatch):
-        """64-column blocks: many blocks, and a last one a byte or two
-        wide with padding bits."""
-        monkeypatch.setattr(decoder, "_BLOCK_COLUMNS", 64)
-        cb = cached_codebook(n)
-        rng = np.random.default_rng(n)
-        for _ in range(8):
-            received = rng.integers(0, 2, cb.v_length).astype(np.uint8)
-            self.check(cb, received, rng.permutation(n))
 
 
 class TestMismatches:

@@ -223,8 +223,8 @@ def test_exact_decode(work, gen_out, superposed):
 
 
 def test_nearest_decode_through_the_class_search(work, gen_out):
-    """12 stations under sigma=0.7 noise: the top-k candidate is too far
-    from the vector to be certified, so the class search runs."""
+    """12 stations under sigma=0.7 noise: the sent set is too far from
+    the vector to be certified, so the class search runs."""
     stations = sorted((np.random.default_rng(1).choice(25, 12, replace=False)
                        + 1).tolist())
     bits = cc.threshold_noisy(cc.superpose_noisy(
