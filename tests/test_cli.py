@@ -465,6 +465,10 @@ class TestRowStreaming:
             "row 9 one byte short": doc[:row9] + doc[row9 + 1:],
             "extra byte after the last LF": doc + b"0",
             "extra row": doc + doc[last:],
+            "second document": doc + doc,
+            "two extra rows": doc + doc[last - v - 1:],
+            # the high byte lies past the V+1 bytes after the last row
+            "high byte after an extra row": doc + doc[last:] + b"\xff",
         }
 
     @staticmethod
