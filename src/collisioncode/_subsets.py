@@ -11,9 +11,9 @@ _KERNEL_BYTES, and the verifier's checks all read their sums from it.
 
 `count_blocks` and `demod_blocks` enumerate every subset of the first m
 rows of a 0/1 matrix through the same kernel. No library code calls
-them: tests use them as a reference scan, and perfbench's
-subset-throughput metrics time them. `mask_to_ids` lists a mask's row
-ids for the verifier's reports.
+them: tests use them as a reference scan. perfbench wraps them for its
+subset-throughput metrics, but no workload calls them, so those read 0.
+`mask_to_ids` lists a mask's row ids for the verifier's reports.
 """
 
 import numpy as np

@@ -29,21 +29,21 @@ A document is streamed a row at a time both ways, through two buffers of
 V+1 bytes. Writing renders each row from the column values as '0'/'1'
 characters and LF. Reading takes the header line, then reads each row
 into a buffer, checks its length, LF and characters, and folds it into
-the column values, which are then checked. While the caller renders or
-folds the row in one buffer, a one-thread pool makes the stream's
-`write` or `readinto` call for the neighbouring row in the other: the
-call and numpy's loops both release the GIL, so the two overlap. The
-read-ahead stops at the header's ROWS lines, and the pool is shut down
-before the writer or reader returns or raises, so a stream must accept
-calls from another thread but is never called from two at once. Rows
-shorter than _OVERLAP_BYTES (up to 21 stations) make their calls
-inline, where a hand-over would cost more than it saves. One reader
-serves a file, stdin, a pipe and the bytes of `parse_codebook`, forward
-from where the stream stands, and reads each byte once. At a fault it
-reads on to the end a MiB at a time, keeping only what could outrank
-that fault, and raises the first fault in the order a line-by-line read
-meets them, so the library and the CLI accept the same documents and
-refuse the rest with the same error.
+the column values, which are then checked; the bytes after the last row
+are read like a row, and any there refuse the document. While the caller
+renders or folds the row in one buffer, a one-thread pool makes the
+stream's `write` or `readinto` call for the neighbouring row in the
+other: the call and numpy's loops both release the GIL, so the two
+overlap. The pool is shut down before the writer or reader returns or
+raises, so a stream must accept calls from another thread but is never
+called from two at once. Rows shorter than _OVERLAP_BYTES (up to 21
+stations) make their calls inline, where a hand-over would cost more
+than it saves. One reader serves a file, stdin, a pipe and the bytes of
+`parse_codebook`, forward from where the stream stands, and reads each
+byte once. At a fault it reads on to the end a MiB at a time, keeping
+only what could outrank that fault, and raises the first fault in the
+order a line-by-line read meets them, so the library and the CLI accept
+the same documents and refuse the rest with the same error.
 
 Because every column carries one more 1 than 0, the majority-demodulated
 superposition of any non-empty station subset is unique to that subset;
@@ -62,7 +62,7 @@ import math
 import numbers
 import re
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import NoReturn
 
 import numpy as np
@@ -99,16 +99,20 @@ class Codebook:
     keeps the padding row of an even station count out of reach.
 
     The constructor takes any (n_rows, V) 0/1 matrix of at most
-    MAX_STATIONS rows and does not check it, so broken codes can be built.
+    MAX_STATIONS rows and does not check it, so broken codes can be built,
+    but it refuses a station count that is not an integer in 1..n_rows.
     """
 
     def __init__(self, n_stations: int, bits: np.ndarray):
+        n_stations = _integer("n_stations", n_stations)
         bits = np.asarray(bits, np.uint8)
         n_rows, v = bits.shape
         if n_rows > MAX_STATIONS:
             raise SizeLimitError(
                 f"{n_rows} rows exceed the cap of {MAX_STATIONS}")
-        self._hold(n_stations, n_rows, _fold(iter(bits), n_rows, v))
+        if not 1 <= n_stations <= n_rows:
+            raise ValueError(f"n_stations={n_stations} out of range 1..{n_rows}")
+        self._hold(n_stations, n_rows, _fold(bits, n_rows, v))
 
     @classmethod
     def _of_values(cls, n_stations: int, n_rows: int,
@@ -118,7 +122,7 @@ class Codebook:
         return cb
 
     def _hold(self, n_stations: int, n_rows: int, vals: np.ndarray) -> None:
-        self.n_stations = int(n_stations)
+        self.n_stations = n_stations
         self.n_rows, self.v_length = n_rows, len(vals)
         self.r_weight = (n_rows + 1) // 2
         vals.flags.writeable = False
@@ -386,66 +390,58 @@ def parse_codebook(doc: str) -> Codebook:
     return _read_codebook(io.BytesIO(data))
 
 
+class _Refused(Exception):
+    """A refused document: args are `_raise_first_fault`'s rows, pieces."""
+
+
 def _read_codebook(fh) -> Codebook:
     """The codebook of the document on the binary stream fh, read forward
-    from where it stands, each byte once. A refused document raises the
-    first fault `_raise_first_fault` finds; it runs once the column
-    values folded so far are dropped, so it holds only the row buffers."""
-    head = fh.readline()
+    from where it stands, each byte once. A document refused at its
+    header line, a row or a byte after its last row raises the first
+    fault `_raise_first_fault` finds; it runs once the read-ahead is
+    done and the column values folded so far are dropped, so it holds
+    only the row buffers."""
+    head, fields = fh.readline(), None
     try:
-        if not head.endswith(b"\n"):
-            raise FormatError("document must end with a newline")
-        fields = _header_fields(head[:-1].decode("ascii"))
-    except ValueError:  # met again, in its order, by the fault finder
-        fields = None
-    if fields is None:
-        _raise_first_fault(fh, head, None, 0, ())
-    n, n_rows, r, v = fields
-    stop = []
-    lines = _read_lines(fh, v, n_rows, stop)
-    try:
-        vals = _fold(lines, n_rows, v)
-    finally:
-        lines.close()  # no read pending and no worker after this
-    if vals is None:
-        _raise_first_fault(fh, head, fields, *stop)
-    if after := fh.read(1):
-        _raise_first_fault(fh, head, fields, n_rows, (after,))
+        try:  # a header line with no LF is the whole document: refused
+            n, n_rows, r, v = fields = _header_fields(head[:-1].decode("ascii"))
+        except ValueError:  # met again, in its order, by the fault finder
+            raise _Refused(0, ()) from None
+        vals = _fold(_read_lines(fh, v, n_rows), n_rows, v)
+    except _Refused as refused:
+        _raise_first_fault(fh, head, fields, *refused.args)
     _check_values(vals, r)
     return Codebook._of_values(n, n_rows, vals)
 
 
-def _read_lines(fh, v: int, n_rows: int, stop: list):
-    """Yield the 0/1 bits of each of the first n_rows lines of fh while
-    it is v '0'/'1' characters and LF. At any other line, wait for the
-    read-ahead and end with `stop` set to the valid line count and the
-    bytes read past those lines: this line's, then the read-ahead's. The
-    next line is read into the other buffer of a `_RowIO` while the
-    caller folds this one; no read goes past line n_rows."""
+def _read_lines(fh, v: int, n_rows: int):
+    """Yield the 0/1 bits of each of the n_rows lines of fh, then end at
+    the end of fh. Each line, and the bytes after line n_rows, is read
+    into one buffer of a `_RowIO` while the caller folds the line before
+    it in the other. A line other than v '0'/'1' characters and LF, or a
+    byte after line n_rows, raises `_Refused` with the valid line count
+    and the bytes read past those lines: this line's, then the next's."""
     readinto = fh.readinto
     with _RowIO(v + 1) as io_:
         io_.swap(readinto, io_.lines[0][0])
-        for i in range(n_rows):
+        for i in range(n_rows + 1):
             (line, bits), ahead = io_.lines[i % 2], io_.lines[1 - i % 2][0]
-            more = i + 1 < n_rows
-            got = io_.swap(readinto, ahead) if more else io_.wait()
-            if got == v + 1 and line[-1] == ord("\n"):
+            got = io_.swap(readinto, ahead)
+            if i == n_rows and got == 0:
+                return
+            if i < n_rows and got == v + 1 and line[-1] == ord("\n"):
                 # characters below '0' wrap round to large values
                 np.subtract(bits, ord("0"), out=bits)
                 if bits.max() <= 1:
                     yield bits
                     continue
                 np.add(bits, ord("0"), out=bits)  # the characters again
-            pieces = [line[:got]]
-            if more:
-                pieces.append(ahead[:io_.wait()])
-            stop[:] = i, pieces
-            return
+            raise _Refused(i, [line[:got], ahead[:io_.wait()]])
 
 
-def _fold(rows, n_rows: int, v: int) -> np.ndarray | None:
-    """Column values of the first n_rows length-v 0/1 rows drawn from the
-    iterator `rows`, row 1 as the MSB, or None if it runs out first.
+def _fold(rows, n_rows: int, v: int) -> np.ndarray:
+    """Column values of the n_rows length-v 0/1 rows of the iterable
+    `rows`, row 1 as the MSB; `rows` is drawn until it ends.
 
     The rows of each byte of the values are assembled in a uint8 buffer
     (doubled by addition, which numpy runs far faster than a uint8 shift)
@@ -454,17 +450,15 @@ def _fold(rows, n_rows: int, v: int) -> np.ndarray | None:
     width = vals.itemsize
     planes = vals.view(np.uint8)
     byte = np.empty(v, np.uint8)
-    for plane in range((n_rows - 1) // 8, -1, -1):
-        for k in range(min(8, n_rows - 8 * plane)):
-            row = next(rows, None)
-            if row is None:
-                return None
-            if k:
-                np.add(byte, byte, out=byte)
-                np.bitwise_or(byte, row, out=byte)
-            else:
-                np.copyto(byte, row)
-        planes[plane if np.little_endian else width - 1 - plane::width] = byte
+    for bit, row in zip(count(n_rows - 1, -1), rows):
+        if bit == n_rows - 1 or bit % 8 == 7:
+            np.copyto(byte, row)
+        else:
+            np.add(byte, byte, out=byte)
+            np.bitwise_or(byte, row, out=byte)
+        if bit % 8 == 0:
+            plane = bit // 8
+            planes[plane if np.little_endian else width - 1 - plane::width] = byte
     return vals
 
 

@@ -622,7 +622,7 @@ class TestWorkerFailures:
         assert threading.active_count() == threads
         assert fh.calls == 3
 
-    @pytest.mark.parametrize("extra", [b"", b"0"])
+    @pytest.mark.parametrize("extra", [b"0"])
     def test_worker_joined_before_the_trailing_byte_check(self, monkeypatch,
                                                           extra):
         counts, threads = [], threading.active_count()
@@ -635,6 +635,23 @@ class TestWorkerFailures:
         data = cc.serialize_codebook(cached_codebook(9)).encode() + extra
         TestBytesLoader.outcome(codebook._read_codebook, Counting(data))
         assert counts and set(counts) == {threads}
+
+    def test_valid_document_is_read_without_read_calls(self, monkeypatch):
+        """The bytes after the last row are read ahead like a row, so a
+        valid document's stream gets no `read` call, and no worker is
+        alive once the loader returns."""
+        reads, threads = [], threading.active_count()
+
+        class Counting(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+        started = count_workers(monkeypatch)
+        cb = cached_codebook(9)
+        data = cc.serialize_codebook(cb).encode()
+        assert codebook._read_codebook(Counting(data)) == cb
+        assert started and reads == []
+        assert threading.active_count() == threads
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

@@ -166,6 +166,29 @@ class TestDerivedArrays:
         assert [cc.bits_to_str(cc.codeword_for(cb, i)) for i in (1, 9, 17)] == [
             cc.bits_to_str(bits[i - 1]) for i in (1, 9, 17)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, np.int64(3), np.uint8(2)])
+    def test_constructor_takes_station_counts_up_to_the_rows(self, n):
+        cb = cc.Codebook(n, cached_codebook(3).matrix())
+        assert type(cb.n_stations) is int and cb.n_stations == n
+        assert cc.bits_to_str(cc.codeword_for(cb, n)) == "110101011"[
+            3 * n - 3:3 * n]
+
+    @pytest.mark.parametrize("n", [0, -2, 4, 5])
+    def test_constructor_refuses_station_counts_outside_the_rows(self, n):
+        """A station past the rows would get a one-chip codeword, and no
+        station at all would decode noise to the empty set."""
+        message = f"n_stations={n} out of range 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.Codebook(n, cached_codebook(3).matrix())
+
+    @pytest.mark.parametrize("bad", [2.9, True, np.True_, np.float64(3), "3",
+                                     None])
+    def test_constructor_refuses_station_counts_that_are_not_integers(
+            self, bad):
+        message = f"n_stations must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.Codebook(bad, cached_codebook(3).matrix())
+
 
 class TestCodewordAccess:
     def test_known_codewords(self):
