@@ -7,7 +7,7 @@ columns (`_signed`), exact since |sum| <= 25; demod(S) is the positive
 sums. `_signed` forms the amplitudes from the codebook's column values
 at the block's columns, so the kernel never derives the unpacked matrix.
 `_chip_sums` runs that matmul a block of subsets at a time, within
-_KERNEL_BYTES, and the verifier's checks all read their sums from it.
+_KERNEL_BYTES, and the verifier's enumerations read their sums from it.
 
 `count_blocks` and `demod_blocks` enumerate every subset of the first m
 rows of a 0/1 matrix through the same kernel. No library code calls

@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .codebook import _BLOCK_COLUMNS, Codebook, _integer
+from .codebook import Codebook, _integer, _real
 
 
 def modulate(bit: int) -> int:
@@ -32,20 +32,14 @@ def superpose(cb: Codebook, stations) -> np.ndarray:
 
     Every entry has absolute value at most the subset size and the same
     parity as the subset size; the empty subset (silence) yields all zeros.
-    A column's ones among the stations are the set bits of its value
-    (`cb.vals`) under the stations' mask, counted for any subset a block
-    of _BLOCK_COLUMNS columns at a time, so no temporary grows with V,
-    and the sums are 2 * ones - size. 2-byte values are widened to
-    uint32 first: numpy counts the bits of uint32 faster than of uint16.
+    The stations' ones in each column are counted by the codebook a
+    block of columns at a time, so no temporary grows with V, and the
+    sums are 2 * ones - size.
     """
     ids = _station_ids(cb, stations)
-    mask = cb.vals.dtype.type(sum(1 << (cb.n_rows - i) for i in ids))
     sums = np.empty(cb.v_length, np.int16)
-    for c0 in range(0, cb.v_length, _BLOCK_COLUMNS):
-        held = cb.vals[c0:c0 + _BLOCK_COLUMNS] & mask  # the stations' bits
-        if held.itemsize == 2:
-            held = held.astype(np.uint32)
-        sums[c0:c0 + _BLOCK_COLUMNS] = np.bitwise_count(held)
+    for cols, ones in cb._ones([i - 1 for i in ids]):
+        sums[cols] = ones
     sums *= 2
     sums -= len(ids)
     return sums
@@ -103,9 +97,10 @@ def superpose_noisy(cb: Codebook, stations, sigma: float, seed: int) -> np.ndarr
     """float64 amplitude sums with i.i.d. Gaussian(0, sigma) noise per chip.
 
     Identical (codebook, stations, sigma, seed) always produce identical
-    samples; sigma=0 returns the integer sums exactly. The seed must be a
-    non-negative integer; a numpy integer is held as an int.
+    samples; sigma=0 returns the integer sums exactly. sigma must be a
+    real number and the seed a non-negative integer, numpy ones included.
     """
+    sigma = _real("sigma", sigma)
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be >= 0")
     seed = _integer("seed", seed)

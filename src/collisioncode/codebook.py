@@ -12,8 +12,8 @@ So one integer describes each column: its value, with row 1 as the most
 significant bit. A `Codebook` holds those column values (`vals`, one
 uint32 per column at most, 21 MB at the 25-station cap). The packed
 rows, which the decoder scans and the verifier counts row weights in,
-are derived from them on first use. The verifier reads row blocks and
-the class search byte planes of the column values directly, so no
+are derived from them on first use. Other modules read the values only
+through `Codebook`'s row blocks, subset counts and 0/1 rows, so no
 library path derives the unpacked matrix (`matrix()`, 130 MB at the
 cap); it stays for callers that want it.
 
@@ -70,7 +70,7 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-_BLOCK_COLUMNS = 1 << 16  # columns per step of a row array or a superpose; 8 | it
+_BLOCK_COLUMNS = 1 << 16  # columns per step of `packed` or `_ones`; 8 | it
 _OVERLAP_BYTES = 1 << 20  # shortest row whose I/O call runs on a worker thread
 _SCAN_BYTES = 1 << 20  # bytes per read of the rest of a refused document
 
@@ -99,13 +99,17 @@ class Codebook:
     keeps the padding row of an even station count out of reach.
 
     The constructor takes any (n_rows, V) 0/1 matrix of at most
-    MAX_STATIONS rows and does not check it, so broken codes can be built,
-    but it refuses a station count that is not an integer in 1..n_rows.
+    MAX_STATIONS rows, so broken codes can be built, but it refuses an
+    entry other than 0 and 1 and a station count that is not an integer
+    in 1..n_rows.
     """
 
     def __init__(self, n_stations: int, bits: np.ndarray):
         n_stations = _integer("n_stations", n_stations)
-        bits = np.asarray(bits, np.uint8)
+        bits = np.asarray(bits)
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("codebook entries must be 0 or 1")
+        bits = bits.astype(np.uint8, copy=False)
         n_rows, v = bits.shape
         if n_rows > MAX_STATIONS:
             raise SizeLimitError(
@@ -138,17 +142,31 @@ class Codebook:
         """(n_rows, len(cols)) bool block of the rows at columns cols."""
         return (self.vals[cols] & self._row_bits) != 0
 
-    def _row_blocks(self):
-        """Yield (first column, (n_rows, w) bool block of the rows) over
-        the columns, _BLOCK_COLUMNS at a time."""
+    def _ones(self, rows):
+        """Yield (cols, ones) _BLOCK_COLUMNS columns at a time: how many of
+        the 0-based `rows` hold a 1 at each column. Values widen to the
+        uint32 mask, whose bits numpy counts faster than uint16's."""
+        mask = np.uint32(sum(1 << (self.n_rows - 1 - i) for i in rows))
         for c0 in range(0, self.v_length, _BLOCK_COLUMNS):
-            yield c0, self._rows_at(slice(c0, c0 + _BLOCK_COLUMNS))
+            cols = slice(c0, c0 + _BLOCK_COLUMNS)
+            yield cols, np.bitwise_count(self.vals[cols] & mask)
+
+    def _rows_into(self, out: np.ndarray, cols=slice(None)) -> None:
+        """Write the 0/1 chips of rows 1..len(out) at `cols` into the rows
+        of the uint8 array out, gathering each byte plane once per 8 rows."""
+        for i, row in enumerate(out):
+            bit = self.n_rows - 1 - i
+            if i == 0 or bit % 8 == 7:
+                plane = _byte_plane(self, bit, cols)
+            np.right_shift(plane, bit % 8, out=row)
+            np.bitwise_and(row, 1, out=row)
 
     @cached_property
     def packed(self) -> np.ndarray:
         """The rows 8 chips per byte, MSB first; read-only."""
         out = np.empty((self.n_rows, -(-self.v_length // 8)), np.uint8)
-        for c0, block in self._row_blocks():
+        for c0 in range(0, self.v_length, _BLOCK_COLUMNS):
+            block = self._rows_at(slice(c0, c0 + _BLOCK_COLUMNS))
             out[:, c0 // 8:(c0 + _BLOCK_COLUMNS) // 8] = np.packbits(block, axis=1)
         out.flags.writeable = False
         return out
@@ -156,8 +174,7 @@ class Codebook:
     @cached_property
     def _matrix(self) -> np.ndarray:
         out = np.empty((self.n_rows, self.v_length), np.uint8)
-        for c0, block in self._row_blocks():
-            out[:, c0:c0 + _BLOCK_COLUMNS] = block
+        self._rows_into(out)
         out.flags.writeable = False
         return out
 
@@ -221,6 +238,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float; ValueError unless a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _patterns(n_bits: int, dtype: np.dtype) -> np.ndarray:

@@ -17,11 +17,10 @@ non-members, so the stations of maximal correlation are
 exactly S. The decoder takes that candidate set and checks it against
 the channel's majority rule: a match identifies the unique preimage, and
 a vector with no preimage can never re-encode to itself, so a mismatch
-is a no-match. A column's ones among S are the set bits of its value
-under S's mask, so the check counts, a block of columns at a time, the
-chips where that count's majority differs from y, with no amplitude
-sums. The cost is one pass over the packed station rows plus one count
-over the column values, O(n * V), with no per-codebook state.
+is a no-match. The check counts the chips where the majority of S's ones,
+counted by the codebook as for the channel, differs from y, with no
+amplitude sums. The cost is one pass over the packed station rows plus
+one count over the column values, O(n * V), with no per-codebook state.
 
 Nearest-match decoding ranks the stations by the same correlation (ties
 by station id). By the same symmetry the distance between demod(S) and
@@ -59,8 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _classes
-from .codebook import (_BLOCK_COLUMNS, Codebook, SizeLimitError, _byte_plane,
-                       _integer)
+from .codebook import Codebook, SizeLimitError, _integer
 
 # the chips of the largest search the old 2^n scan ran: every subset at 17
 # stations, so no input at n <= 17 is refused
@@ -133,20 +131,12 @@ def _mismatches(cb: Codebook, members: list[int], bits: np.ndarray) -> int:
     the 0/1 uint8 `bits`.
 
     A column demodulates to 1 when more than half of the members hold a
-    1 in it: when its value under the members' mask has at least
-    len(members) // 2 + 1 set bits. That is counted _BLOCK_COLUMNS
-    columns at a time, so no temporary grows with V. The mask is a
-    uint32, so narrower values are widened to it: numpy counts the bits
-    of uint32 faster than of uint16."""
-    mask = np.uint32(sum(1 << (cb.n_rows - 1 - i) for i in members))
+    1 in it, counted by the codebook a block of columns at a time, so no
+    temporary grows with V."""
     need = len(members) // 2 + 1
     chips = bits.view(bool)
-    miss = 0
-    for c0 in range(0, cb.v_length, _BLOCK_COLUMNS):
-        held = cb.vals[c0:c0 + _BLOCK_COLUMNS] & mask
-        miss += np.count_nonzero(
-            (np.bitwise_count(held) >= need) != chips[c0:c0 + _BLOCK_COLUMNS])
-    return int(miss)
+    return int(sum(np.count_nonzero((ones >= need) != chips[cols])
+                   for cols, ones in cb._ones(members)))
 
 
 def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
@@ -202,16 +192,9 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
 
 def _flip_rows(cb: Codebook, cols: np.ndarray, width: int) -> np.ndarray:
     """int8 (n_stations, width) rows of the stations' chips at cols, then
-    zero columns; read from the byte planes of the column values, each
-    gathered once at cols for the 8 rows it holds."""
+    zero columns, as the codebook writes them."""
     flip = np.zeros((cb.n_stations, width), np.int8)
-    chips = flip[:, :cols.size].view(np.uint8)
-    for i in range(cb.n_stations):
-        bit = cb.n_rows - 1 - i
-        if i == 0 or bit % 8 == 7:
-            plane = _byte_plane(cb, bit, cols)
-        np.right_shift(plane, bit % 8, out=chips[i])
-        np.bitwise_and(chips[i], 1, out=chips[i])
+    cb._rows_into(flip[:, :cols.size].view(np.uint8), cols)
     return flip
 
 

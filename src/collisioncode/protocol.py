@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, decoder
-from .codebook import Codebook, SizeLimitError, _integer, build_codebook
+from .codebook import Codebook, SizeLimitError, _integer, _real, build_codebook
 
 # rounds of one session: bounds the per_round record and, since a round
 # superposes V chips, keeps a session's chips within the verifier's claims
@@ -45,9 +45,11 @@ class SessionConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_stations", "max_rounds", "seed"):
-            # held as an int, so a numpy integer's session prints as JSON
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, kind in (("n_stations", _integer), ("loss_prob", _real),
+                           ("max_rounds", _integer), ("seed", _integer),
+                           ("noise_sigma", _real)):
+            # held as an int or a float, so a numpy number prints as JSON
+            object.__setattr__(self, name, kind(name, getattr(self, name)))
         if self.n_stations < 1:
             raise ValueError("n_stations must be >= 1")
         if not 0.0 <= self.loss_prob <= 1.0:

@@ -13,12 +13,13 @@ or seeded trials rather than by trust, the facts the decoder relies on:
 
 Every check forms chip sums with the one kernel of `_subsets`: a float32
 matmul of the subsets' 0/1 membership rows and the +1/-1 amplitudes of a
-column block, whose positive sums are demod(S). `check_additivity`
-(named for the chip-sum identities it used to test) forms demod(S) so
-for its trial subsets, a block of columns at a time, and adds each row's
-signed correlation with it by a second matmul with the same block. The
-other three facts are enumerated over every row subset, reading the sums
-from `_chip_sums`:
+column block, whose positive sums are demod(S); the vectors a collision
+report prints are counted by the codebook, as the channel's are.
+`check_additivity` (named for the chip-sum identities it used to test)
+forms demod(S) so for its trial subsets, a block of columns at a time,
+and adds each row's signed correlation with it by a second matmul with
+the same block. The other three facts are enumerated over every row
+subset, reading the sums from `_chip_sums`:
 
 * the three enumerations visit the columns in tiles of 64, spread over
   the whole codeword (`_column_tiles`), and count a tile only for the
@@ -194,19 +195,12 @@ def _colliding_groups(cb: Codebook) -> list[list[int]]:
 
 
 def _demodulated(cb: Codebook, masks: np.ndarray) -> list[str]:
-    """The demodulated vector of each subset in `masks`, as a string.
-
-    Columns are taken in blocks narrow enough that a block of chip sums
-    holds 64 subsets; each block's bits are written into one '0'/'1'
-    character row per subset.
-    """
-    v = cb.v_length
-    width = max(1, _subsets._KERNEL_BYTES >> 8)
-    chars = np.empty((len(masks), v), np.uint8)
-    for c0 in range(0, v, width):
-        cols = slice(c0, c0 + width)
-        for sl, sums in _chip_sums(cb, cols, masks):
-            np.greater(sums, 0, out=chars[sl, cols])
+    """The demodulated vector of each subset in `masks`, as a string."""
+    chars = np.empty((len(masks), cb.v_length), np.uint8)
+    for row, mask in zip(chars, masks.tolist()):
+        ids = mask_to_ids(mask)
+        for cols, ones in cb._ones([i - 1 for i in ids]):
+            np.greater_equal(ones, len(ids) // 2 + 1, out=row[cols])
     chars += ord("0")
     return [row.tobytes().decode("ascii") for row in chars]
 

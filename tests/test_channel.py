@@ -288,6 +288,12 @@ class TestNoisyChannel:
         with pytest.raises(ValueError, match="^sigma must be >= 0$"):
             cc.superpose_noisy(cached_codebook(3), {1}, sigma, 0)
 
+    @pytest.mark.parametrize("sigma", [True, np.True_, "0.3", None])
+    def test_rejects_sigma_that_is_not_a_real_number(self, sigma):
+        message = f"sigma must be a real number, got {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.superpose_noisy(cached_codebook(3), {1}, sigma, 0)
+
     def test_rejects_samples_that_overflow(self):
         with pytest.raises(ValueError, match=r"^sigma=1\.7e\+308 overflows"):
             cc.superpose_noisy(cached_codebook(3), {1}, 1.7e308, 3)

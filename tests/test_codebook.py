@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode import codebook
+from collisioncode import codebook, decoder, verifier
+from collisioncode._subsets import mask_to_ids
 from collisioncode.codebook import _column_dtype
 from conftest import cached_codebook
 import oracles
@@ -149,14 +150,27 @@ class TestDerivedArrays:
                     or cb.vals.flags.writeable)
 
     def test_blocks_cover_every_column(self, monkeypatch):
-        # derived a few columns at a time, including a short last block
-        oracle = np.array([[int(c) for c in row]
-                           for row in oracles.matrix_rows(9)], np.uint8)
+        """Derived and counted a few columns at a time, including a short
+        last block: the rows, and every subset's sums, mismatches and
+        demodulated vector."""
+        rows = oracles.matrix_rows(9)
+        oracle = np.array([[int(c) for c in row] for row in rows], np.uint8)
         monkeypatch.setattr(codebook, "_BLOCK_COLUMNS", 16)
         cb = cc.build_codebook(9)
         assert cb.v_length % 16
         assert np.array_equal(cb.matrix(), oracle)
         assert np.array_equal(cb.packed, np.packbits(oracle, axis=1))
+        bits = np.random.default_rng(9).integers(0, 2, cb.v_length, np.uint8)
+        text = cc.bits_to_str(bits)
+        for subset in [(), *oracles.nonempty_subsets(9)]:
+            assert cc.superpose(cb, subset).tolist() == [
+                oracles.chip_sum(rows, subset, c + 1)
+                for c in range(cb.v_length)]
+            assert decoder._mismatches(cb, [i - 1 for i in subset], bits) == \
+                oracles.hamming(oracles.demod(rows, subset), text)
+        masks = np.arange(1, 1 << 9)
+        assert verifier._demodulated(cb, masks) == [
+            oracles.demod(rows, mask_to_ids(m)) for m in masks.tolist()]
 
     def test_constructor_folds_any_matrix(self):
         bits = np.random.default_rng(3).integers(0, 2, (17, 50), np.uint8)
@@ -188,6 +202,25 @@ class TestDerivedArrays:
         message = f"n_stations must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cc.Codebook(bad, cached_codebook(3).matrix())
+
+    @pytest.mark.parametrize("bits", [
+        [[1, 0, 1, 0], [2, 1, 0, 1], [0, 1, 1, 1]],
+        [[1, 0, 1, 0], [1.5, 1, 0, 1], [0, 1, 1, 1]],
+        [[1, 0, 1, 0], [-1, 1, 0, 1], [0, 1, 1, 1]],
+        np.array([[1, 0, 1, 0], [np.nan, 1, 0, 1], [0, 1, 1, 1]]),
+        np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 1, 9]], np.uint8)])
+    def test_constructor_refuses_entries_other_than_0_and_1(self, bits):
+        """A 2 would read as 0, a 1.5 as 1, and a -1 would overflow."""
+        with pytest.raises(ValueError,
+                           match="^codebook entries must be 0 or 1$"):
+            cc.Codebook(3, bits)
+
+    @pytest.mark.parametrize("kind", [bool, np.float64, np.int64, np.uint8])
+    def test_constructor_takes_0_and_1_of_any_type(self, kind):
+        matrix = cached_codebook(3).matrix()
+        cb = cc.Codebook(3, matrix.astype(kind))
+        assert cb == cached_codebook(3)
+        assert cb.matrix().dtype == np.uint8
 
 
 class TestCodewordAccess:

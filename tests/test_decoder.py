@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collisioncode as cc
-from collisioncode import _classes, channel, decoder
+from collisioncode import _classes, channel, codebook, decoder
 from collisioncode._subsets import demod_blocks, mask_to_ids
 from conftest import cached_codebook, load_golden
 import oracles
@@ -731,7 +731,7 @@ class TestMismatches:
     def test_two_blocks(self):
         """n=19: V = 92,378 columns cross a _BLOCK_COLUMNS block."""
         cb = cached_codebook(19)
-        assert decoder._BLOCK_COLUMNS < cb.v_length < 2 * decoder._BLOCK_COLUMNS
+        assert codebook._BLOCK_COLUMNS < cb.v_length < 2 * codebook._BLOCK_COLUMNS
         rng = np.random.default_rng(19)
         for seed in range(6):
             subset = sorted((rng.choice(19, int(rng.integers(1, 20)),

@@ -29,24 +29,34 @@ class TestConfig:
             config(**kwargs)
 
     @pytest.mark.parametrize("field,kwarg", [
-        ("n_stations", "n"), ("max_rounds", "rounds"), ("seed", "seed")])
-    @pytest.mark.parametrize("bad", [2.0, 2.5, True, np.bool_(True), "3"])
+        ("n_stations", "n"), ("max_rounds", "rounds"), ("seed", "seed"),
+        ("loss_prob", "loss"), ("noise_sigma", "sigma")])
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, np.bool_(True), "3",
+                                     None])
     def test_refuses_counts_that_are_not_integers(self, field, kwarg, bad):
         """Refused at construction: not carried into the build, the seed
-        sequence or the JSON, and not rounded (2.5 rounds would run 3)."""
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
+        sequence or the JSON, and not rounded (2.5 rounds would run 3).
+        The loss probability and sigma take any real number but a bool,
+        so they are given a float's text in place of the float."""
+        kind = "an integer"
+        if field in ("loss_prob", "noise_sigma"):
+            kind = "a real number"
+            bad = str(bad) if isinstance(bad, float) else bad
+        with pytest.raises(ValueError, match=rf"^{field} must be {kind}, "
                                              rf"got {re.escape(repr(bad))}$"):
             config(**{kwarg: bad})
 
     @pytest.mark.parametrize("kind", [np.int16, np.int64, np.uint32])
     def test_accepts_numpy_integers(self, kind):
-        """They are held as ints, so the session runs and prints as the
-        plain config's does."""
-        cfg = config(n=kind(5), loss=0.3, rounds=kind(6), seed=kind(4))
-        plain = config(n=5, loss=0.3, rounds=6, seed=4)
+        """They are held as ints, and numpy floats as floats, so the
+        session runs and prints as the plain config's does."""
+        cfg = config(n=kind(5), loss=np.float32(0.25), rounds=kind(6),
+                     seed=kind(4), sigma=np.float16(0.5))
+        plain = config(n=5, loss=0.25, rounds=6, seed=4, sigma=0.5)
         assert cfg == plain
         assert all(type(v) is int
                    for v in (cfg.n_stations, cfg.max_rounds, cfg.seed))
+        assert type(cfg.loss_prob) is type(cfg.noise_sigma) is float
         assert (json.dumps(protocol.run_session(cfg).to_json_dict())
                 == json.dumps(protocol.run_session(plain).to_json_dict()))
 
