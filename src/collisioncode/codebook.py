@@ -107,16 +107,17 @@ class Codebook:
     def __init__(self, n_stations: int, bits: np.ndarray):
         n_stations = _integer("n_stations", n_stations)
         bits = np.asarray(bits)
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("codebook entries must be 0 or 1")
-        bits = bits.astype(np.uint8, copy=False)
         n_rows, v = bits.shape
         if n_rows > MAX_STATIONS:
             raise SizeLimitError(
                 f"{n_rows} rows exceed the cap of {MAX_STATIONS}")
         if not 1 <= n_stations <= n_rows:
             raise ValueError(f"n_stations={n_stations} out of range 1..{n_rows}")
-        self._hold(n_stations, n_rows, _fold(bits, n_rows, v))
+        # a row at a time, so that no temporary is the size of the matrix
+        if not all(((row == 0) | (row == 1)).all() for row in bits):
+            raise ValueError("codebook entries must be 0 or 1")
+        self._hold(n_stations, n_rows,
+                   _fold((row == 1 for row in bits), n_rows, v))
 
     @classmethod
     def _of_values(cls, n_stations: int, n_rows: int,
@@ -244,7 +245,10 @@ def _real(name: str, value) -> float:
     """value as a float; ValueError unless a real number other than a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction past the float range
+        raise ValueError(f"{name} exceeds the float range") from None
 
 
 def _patterns(n_bits: int, dtype: np.dtype) -> np.ndarray:

@@ -128,15 +128,14 @@ def decode_exact(cb: Codebook, received) -> DecodeOutcome:
 
 def _mismatches(cb: Codebook, members: list[int], bits: np.ndarray) -> int:
     """Chips where demod of the stations `members` (0-based) differs from
-    the 0/1 uint8 `bits`.
-
-    A column demodulates to 1 when more than half of the members hold a
-    1 in it, counted by the codebook a block of columns at a time, so no
-    temporary grows with V."""
+    the 0/1 uint8 `bits`: a column demodulates to 1 when more than half
+    of the members hold a 1 in it, counted a block of columns at a time."""
     need = len(members) // 2 + 1
     chips = bits.view(bool)
-    return int(sum(np.count_nonzero((ones >= need) != chips[cols])
-                   for cols, ones in cb._ones(members)))
+    miss = 0
+    for cols, ones in cb._ones(members):
+        miss += np.count_nonzero((ones >= need) != chips[cols])
+    return int(miss)
 
 
 def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:

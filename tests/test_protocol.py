@@ -22,7 +22,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"n": 0}, {"loss": -0.1}, {"loss": 1.1}, {"rounds": 0},
         {"seed": -1}, {"sigma": -0.5}, {"sigma": float("nan")},
-        {"sigma": float("inf")},
+        {"sigma": float("inf")}, {"loss": 10 ** 400}, {"sigma": 10 ** 400},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
