@@ -1,5 +1,6 @@
 """Codebook construction, matrix invariants, and the text format."""
 
+import hashlib
 import math
 import re
 
@@ -171,6 +172,31 @@ class TestDerivedArrays:
         masks = np.arange(1, 1 << 9)
         assert verifier._demodulated(cb, masks) == [
             oracles.demod(rows, mask_to_ids(m)) for m in masks.tolist()]
+
+    # sha256 of the row bytes, pinned from the block-by-block derivation;
+    # rows of 17 to 25 stations span two to four byte planes of the values
+    @pytest.mark.parametrize("n, sha256", [
+        (17, "82d55a408dfad6a942a737bd15c6491dff55c2a794a9d05ab81a947be2a0760d"),
+        (21, "ace138f61939f93695bb9ae9bfac45d8889cd365f3adf915bda4db7a0f8c4479"),
+        (25, "7aa24e52931225b7ffd80999c9fd8d314c09c6ea816e0b494623432fc57e33da"),
+    ])
+    def test_packed_digest_across_byte_planes(self, n, sha256):
+        packed = cc.build_codebook(n).packed
+        assert hashlib.sha256(packed.tobytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("station, sha256", [
+        (1, "03bfa7e707de817ea2939ae31504b5bafadfe29bbff46a10b5821809b38ad3f4"),
+        (8, "206912ed7a2adb3401665e0122a88019406e050e40b337897ace22727901737a"),
+        (9, "088e48251b3da9dee304c4249f301e4ac7882d9f385106bd2afaeaa5673f8b1a"),
+        (16, "302009fe28702ef991fc0e27ff93d561f5a084d99019d72298aacd40f8d8c189"),
+        (17, "4d31f1b3b564a8fb3b3c718b2a14c6f84cca98f8251a471bc8f10de9bffc5419"),
+        (24, "7c326ff889dc7d6f3cdab9aaef62171e09834fe9e4adda5762fcb397d0598291"),
+        (25, "c25143bbf8a4ad69252550cc26e815a61b11c31e712579d1f40a64a193fa6b89"),
+    ])
+    def test_codeword_digest_at_the_cap(self, station, sha256):
+        """The first and last station of each byte plane at n=25."""
+        word = cc.codeword_for(cached_codebook(25), station)
+        assert hashlib.sha256(word.tobytes()).hexdigest() == sha256
 
     def test_constructor_folds_any_matrix(self):
         bits = np.random.default_rng(3).integers(0, 2, (17, 50), np.uint8)
