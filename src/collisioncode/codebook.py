@@ -10,12 +10,14 @@ construction deterministic.
 
 So one integer describes each column: its value, with row 1 as the most
 significant bit. A `Codebook` holds those column values (`vals`, one
-uint32 per column at most, 21 MB at the 25-station cap). The packed
-rows, which the decoder scans and the verifier counts row weights in,
-are derived from them on first use. Other modules read the values only
-through `Codebook`'s row blocks, subset counts and 0/1 rows, so no
-library path derives the unpacked matrix (`matrix()`, 130 MB at the
-cap); it stays for callers that want it.
+uint32 per column at most, 21 MB at the 25-station cap). One walk,
+`Codebook._rows_into`, turns them into 0/1 rows in the caller's buffers
+for `matrix()`, `codeword_for`, the document writer, the decoder's flip
+rows and the packed rows, which the decoder scans and the verifier
+counts row weights in. Other modules read the values only through that
+walk, the subset counts and `_subsets`' bool row blocks, so no library
+path derives the unpacked matrix (`matrix()`, 130 MB at the cap); it
+stays for callers that want it.
 
 Building splits the rows into a top half and a bottom half of as many
 rows or one more. In descending order, the weight-R columns are: for
@@ -26,8 +28,8 @@ concatenation of small per-weight tables of bottom-half values; no
 2^rows range is ever enumerated.
 
 A document is streamed a row at a time both ways, through two buffers of
-V+1 bytes. Writing renders each row from the column values as '0'/'1'
-characters and LF. Reading takes the header line, then reads each row
+V+1 bytes. Writing has the walk fill each buffer with a row's 0/1
+chips, then ORs '0' into them ahead of the LF. Reading takes the header line, then reads each row
 into a buffer, checks its length, LF and characters, and folds it into
 the column values, which are then checked; the bytes after the last row
 are read like a row, and any there refuse the document. While the caller
@@ -70,7 +72,7 @@ import numpy as np
 MAX_STATIONS = 25
 
 _HEADER = re.compile(r"COLLISIONCODE v1 N=(\d+) ROWS=(\d+) R=(\d+) V=(\d+)")
-_BLOCK_COLUMNS = 1 << 16  # columns per step of `packed` or `_ones`; 8 | it
+_BLOCK_COLUMNS = 1 << 16  # columns per step of `_ones`
 _OVERLAP_BYTES = 1 << 20  # shortest row whose I/O call runs on a worker thread
 _SCAN_BYTES = 1 << 20  # bytes per read of the rest of a refused document
 
@@ -152,23 +154,34 @@ class Codebook:
             cols = slice(c0, c0 + _BLOCK_COLUMNS)
             yield cols, np.bitwise_count(self.vals[cols] & mask)
 
-    def _rows_into(self, out: np.ndarray, cols=slice(None)) -> None:
-        """Write the 0/1 chips of rows 1..len(out) at `cols` into the rows
-        of the uint8 array out, gathering each byte plane once per 8 rows."""
-        for i, row in enumerate(out):
+    def _rows_into(self, out, cols=slice(None), rows=None) -> None:
+        """Write the 0/1 chips at `cols` of each 0-based row of `rows` (all
+        rows by default) into the next uint8 buffer of the iterable out,
+        filled before the next is drawn. The byte of the column values that
+        holds a row is gathered once per run of rows in that byte."""
+        little = self.vals.astype(self.vals.dtype.newbyteorder("<"), copy=False)
+        planes, width, held = little.view(np.uint8), little.itemsize, None
+        # out is drawn first, so its last buffer is finished when rows end
+        for row, i in zip(out, range(self.n_rows) if rows is None else rows):
             bit = self.n_rows - 1 - i
-            if i == 0 or bit % 8 == 7:
-                plane = _byte_plane(self, bit, cols)
+            if bit // 8 != held:
+                held = bit // 8
+                plane = np.ascontiguousarray(planes[held::width][cols])
             np.right_shift(plane, bit % 8, out=row)
             np.bitwise_and(row, 1, out=row)
 
     @cached_property
     def packed(self) -> np.ndarray:
-        """The rows 8 chips per byte, MSB first; read-only."""
+        """The rows 8 chips per byte, MSB first; read-only. Each row is
+        walked into one V-byte buffer and packed before the next."""
         out = np.empty((self.n_rows, -(-self.v_length // 8)), np.uint8)
-        for c0 in range(0, self.v_length, _BLOCK_COLUMNS):
-            block = self._rows_at(slice(c0, c0 + _BLOCK_COLUMNS))
-            out[:, c0 // 8:(c0 + _BLOCK_COLUMNS) // 8] = np.packbits(block, axis=1)
+        row = np.empty(self.v_length, np.uint8)
+
+        def buffers():
+            for packed_row in out:
+                yield row
+                packed_row[:] = np.packbits(row)
+        self._rows_into(buffers())
         out.flags.writeable = False
         return out
 
@@ -261,14 +274,6 @@ def _column_dtype(n_rows: int) -> np.dtype:
     return np.min_scalar_type((1 << n_rows) - 1)
 
 
-def _byte_plane(cb: Codebook, bit: int, cols=slice(None)) -> np.ndarray:
-    """Contiguous uint8 copy of the byte that holds bit `bit` (bit
-    n_rows - 1 is row 1) of each column value at `cols`."""
-    little = cb.vals.astype(cb.vals.dtype.newbyteorder("<"), copy=False)
-    plane = little.view(np.uint8)[bit // 8::cb.vals.itemsize]
-    return np.ascontiguousarray(plane[cols])
-
-
 def codeword_for(cb: Codebook, station: int) -> np.ndarray:
     """Length-V codeword the given station transmits as its ACK payload,
     as a read-only 0/1 vector. The station must be an integer (a numpy
@@ -276,8 +281,8 @@ def codeword_for(cb: Codebook, station: int) -> np.ndarray:
     station = _integer("station", station)
     if not 1 <= station <= cb.n_stations:
         raise ValueError(f"station {station} out of range 1..{cb.n_stations}")
-    bit = cb.n_rows - station
-    bits = _byte_plane(cb, bit) >> bit % 8 & 1
+    bits = np.empty(cb.v_length, np.uint8)
+    cb._rows_into([bits], rows=[station - 1])
     bits.flags.writeable = False
     return bits
 
@@ -383,23 +388,23 @@ class _RowIO:
 
 def _write_document(cb: Codebook, out) -> None:
     """Write the canonical document to the binary stream `out`: the header
-    line, then each row rendered from the byte plane of the column values
-    that holds it, copied once per 8 rows. A row is rendered into one
-    buffer of a `_RowIO` while the other buffer's row is written."""
+    line, then each row, which `Codebook._rows_into` walks into the line
+    buffers of a `_RowIO` in turn and '0' is OR'd into. A row is rendered
+    in one buffer while the other buffer's row is written."""
     out.write(f"COLLISIONCODE v1 N={cb.n_stations} ROWS={cb.n_rows} "
               f"R={cb.r_weight} V={cb.v_length}\n".encode("ascii"))
     write = out.write
     with _RowIO(cb.v_length + 1) as io_:
         for line, _ in io_.lines:
             line[-1] = ord("\n")
-        for i, bit in enumerate(range(cb.n_rows - 1, -1, -1)):
-            if bit == cb.n_rows - 1 or bit % 8 == 7:
-                plane = _byte_plane(cb, bit)
-            line, chars = io_.lines[i % 2]
-            np.right_shift(plane, bit % 8, out=chars)
-            np.bitwise_and(chars, 1, out=chars)
-            np.bitwise_or(chars, ord("0"), out=chars)
-            io_.swap(write, line)
+
+        def buffers():
+            for i in range(cb.n_rows):
+                line, chars = io_.lines[i % 2]
+                yield chars
+                np.bitwise_or(chars, ord("0"), out=chars)
+                io_.swap(write, line)
+        cb._rows_into(buffers())
 
 
 def parse_codebook(doc: str) -> Codebook:

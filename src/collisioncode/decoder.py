@@ -191,7 +191,7 @@ def decode_nearest(cb: Codebook, received, max_dist: int) -> DecodeOutcome:
 
 def _flip_rows(cb: Codebook, cols: np.ndarray, width: int) -> np.ndarray:
     """int8 (n_stations, width) rows of the stations' chips at cols, then
-    zero columns, as the codebook writes them."""
+    zero columns, walked into by `Codebook._rows_into` in one call."""
     flip = np.zeros((cb.n_stations, width), np.int8)
     cb._rows_into(flip[:, :cols.size].view(np.uint8), cols)
     return flip

@@ -151,9 +151,9 @@ class TestDerivedArrays:
                     or cb.vals.flags.writeable)
 
     def test_blocks_cover_every_column(self, monkeypatch):
-        """Derived and counted a few columns at a time, including a short
-        last block: the rows, and every subset's sums, mismatches and
-        demodulated vector."""
+        """Counted a few columns at a time, including a short last block:
+        every subset's sums, mismatches and demodulated vector; the rows,
+        which are walked whole, are unchanged."""
         rows = oracles.matrix_rows(9)
         oracle = np.array([[int(c) for c in row] for row in rows], np.uint8)
         monkeypatch.setattr(codebook, "_BLOCK_COLUMNS", 16)
@@ -199,12 +199,16 @@ class TestDerivedArrays:
         assert hashlib.sha256(word.tobytes()).hexdigest() == sha256
 
     def test_constructor_folds_any_matrix(self):
+        """Every row, over three byte planes of the values, also with 16
+        stations, whose padding row is the lowest bit."""
         bits = np.random.default_rng(3).integers(0, 2, (17, 50), np.uint8)
-        cb = cc.Codebook(17, bits)
-        assert np.array_equal(cb.matrix(), bits)
-        assert np.array_equal(cb.packed, np.packbits(bits, axis=1))
-        assert [cc.bits_to_str(cc.codeword_for(cb, i)) for i in (1, 9, 17)] == [
-            cc.bits_to_str(bits[i - 1]) for i in (1, 9, 17)]
+        for n in (17, 16):
+            cb = cc.Codebook(n, bits)
+            assert np.array_equal(cb.matrix(), bits)
+            assert np.array_equal(cb.packed, np.packbits(bits, axis=1))
+            stations = range(1, n + 1)
+            assert [cc.bits_to_str(cc.codeword_for(cb, i)) for i in stations] \
+                == [cc.bits_to_str(bits[i - 1]) for i in stations]
 
     @pytest.mark.parametrize("n", [1, 2, 3, np.int64(3), np.uint8(2)])
     def test_constructor_takes_station_counts_up_to_the_rows(self, n):

@@ -1,7 +1,8 @@
 """Memory envelope at the 25-station cap: `gen` (to a file and to stdout),
 `superpose`, `encode` (from a file, from stdin redirected from it and
 through a pipe), exact `decode`, `verify --check claims` and the refusal
-of a corrupted codebook, from a file or through a pipe, each run as a
+of a corrupted codebook, from a file or through a pipe, and at its even
+twin of 24 stations `gen`, `encode` and exact `decode`, each run as a
 child process whose peak RSS stays within PEAK_RSS_MB, `decode
 --nearest` of a vector that reaches the class search and `simulate` on
 the ideal and the noisy channel within NEAREST_PEAK_RSS_MB, and the
@@ -18,6 +19,7 @@ process would read at least the test process's own peak.
 """
 
 import filecmp
+import itertools
 import json
 import math
 import os
@@ -220,6 +222,47 @@ def test_exact_decode(work, gen_out, superposed):
     assert code == 0 and peak <= PEAK_RSS_MB, peak
     assert json.loads(out.read_text()) == {"kind": "identified",
                                            "stations": STATIONS}
+
+
+STATIONS24 = list(range(1, 24, 2))  # 12 of the 24 stations
+
+
+@pytest.fixture(scope="module")
+def gen24_out(work):
+    """24 stations use 24 of the 25 rows of the cap's matrix."""
+    path = work / "cb24.txt"
+    return path, run_cli(os.devnull, "gen", "--n", 24, "--out", path)
+
+
+def test_gen_24_to_a_file(gen24_out):
+    path, (code, peak) = gen24_out
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    with open(path, "rb") as fh:
+        assert fh.readline() == (
+            f"COLLISIONCODE v1 N=24 ROWS=25 R=13 V={V25}\n".encode())
+
+
+def test_encode_24(work, gen24_out):
+    """The last station's codeword is the document's row 24."""
+    out = work / "encode24.txt"
+    code, peak = run_cli(out, "encode", "--codebook", gen24_out[0],
+                         "--station", 24)
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    with open(gen24_out[0], "rb") as fh:
+        row = next(itertools.islice(fh, 24, None))
+    assert out.read_bytes() == row
+
+
+def test_exact_decode_24(work, gen24_out):
+    vector = work / "vector24.txt"
+    vector.write_text(cc.bits_to_str(cc.demodulate(cc.superpose(
+        cc.build_codebook(24), STATIONS24))))
+    out = work / "decode24.json"
+    code, peak = run_cli(out, "decode", "--codebook", gen24_out[0],
+                         "--vector-file", vector)
+    assert code == 0 and peak <= PEAK_RSS_MB, peak
+    assert json.loads(out.read_text()) == {"kind": "identified",
+                                           "stations": STATIONS24}
 
 
 def test_nearest_decode_through_the_class_search(work, gen_out):
